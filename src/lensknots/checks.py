@@ -15,7 +15,7 @@ from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
 from .slopes import Slope
 from .surgery import build_chain, det_bareiss, linking_matrix, rot_spectrum
-from .tight import count_tight_lens, enumerate_tight, is_universally_tight
+from .tight import count_tight_lens, enumerate_tight, is_universally_tight, standard_structures
 from .unknots import legendrian_classification, rot_q_farey
 
 
@@ -112,6 +112,5 @@ def _mcg_failures(p_max):
 def _univ_failures(p_max):
     for p, q in lens_pairs(p_max):
         univ = sum(is_universally_tight(ts) for ts in enumerate_tight(p, q))
-        expected = 1 if (q + 1) % p == 0 else 2
-        if univ != expected:
+        if univ != standard_structures(p, q):
             yield f"L({p},{q})"

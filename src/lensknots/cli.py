@@ -43,8 +43,6 @@ def _structures(p, q, signs):
 
 
 def cmd_farey(args) -> int:
-    if args.action != "path":
-        raise SystemExit(2)
     path = geodesic(Slope.parse(args.frm), Slope.parse(args.to))
     print(json.dumps([str(v) for v in path]))
     return 0
@@ -83,9 +81,8 @@ def cmd_surgery(args) -> int:
     if args.rots:
         rot = tuple(int(v) for v in args.rots.split(","))
         if len(rot) != len(chain.framings):
-            raise SystemExit("wrong number of rotation numbers")
-        data = LinkingData(matrix, rot, meridian_lk(chain), 0)
-        out["rot_q"] = str(rot_q_surgery(data, abs(det)))
+            raise ValueError("wrong number of rotation numbers")
+        out["rot_q"] = str(rot_q_surgery(LinkingData(matrix, rot, meridian_lk(chain))))
     else:
         out["spectrum"] = [str(v) for v in rot_spectrum(args.p, args.q, args.knot)]
     if args.format == "json":
@@ -145,15 +142,10 @@ def _mountain_svg(mr) -> str:
 
 
 def cmd_mountain(args) -> int:
-    signs = args.structure
-    if signs is None:
-        classes = enumerate_tight(args.p, args.q)
-        if len(classes) != 1:
-            raise SystemExit("ambiguous tight structure; pass --structure SIGNS")
-        ts = classes[0]
-    else:
-        ts = class_from_signs(args.p, args.q, signs)
-    mr = mountain_range(args.p, args.q, ts, args.knot, args.depth)
+    classes = _structures(args.p, args.q, args.structure)
+    if len(classes) != 1:
+        raise ValueError("ambiguous tight structure; pass --structure SIGNS")
+    mr = mountain_range(args.p, args.q, classes[0], args.knot, args.depth)
     if args.format == "json":
         print(
             json.dumps(
@@ -179,7 +171,7 @@ def cmd_mcg(args) -> int:
         print(_group_str(mcg_mod.contact_mcg_s1s2()))
         return 0
     if len(args.args) != 2:
-        raise SystemExit(2)
+        raise ValueError(f"mcg takes P Q or s1s2, got {' '.join(args.args)}")
     p, q = int(args.args[0]), int(args.args[1])
     if args.smooth:
         print(_group_str(mcg_mod.smooth_mcg(p, q)))

@@ -52,8 +52,7 @@ def neighbor_family(s: Slope) -> tuple[int, int]:
     integer k; as k decreases the family sweeps clockwise around the circle,
     approaching s from its clockwise side as k -> +infinity.
     """
-    g, x, y = _egcd(s.num, s.den)
-    assert g == 1
+    _, x, y = _egcd(s.num, s.den)
     return y, -x
 
 

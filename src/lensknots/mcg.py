@@ -9,8 +9,9 @@ and eta the point reflection on S^1 x S^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .slopes import q_is_minus_one, require_lens_pair
 
 _ORDERS = {"trivial": 1, "Z2": 2, "Z2xZ2": 4, "ZxZ2": None}
 
@@ -40,17 +41,11 @@ class GroupDescription:
         return _ORDERS[self.tag]
 
 
-def _validate(p: int, q: int):
-    if not (p > q > 0) or math.gcd(p, q) != 1:
-        raise ValueError(f"need coprime p > q > 0, got ({p}, {q})")
-
-
 def smooth_mcg(p: int, q: int) -> GroupDescription:
     """Mapping class group of L(p,q) (orientation preserving)."""
-    _validate(p, q)
+    require_lens_pair(p, q)
     if p == 2:
         return GroupDescription("trivial")
-    q = q % p
     if q == p - 1:
         return GroupDescription("Z2", ("sigma",))  # here sigma ~ tau
     if q == 1:
@@ -62,8 +57,7 @@ def smooth_mcg(p: int, q: int) -> GroupDescription:
 
 def contact_mcg(p: int, q: int) -> GroupDescription:
     """Contact mapping class group of the standard structure on L(p,q)."""
-    _validate(p, q)
-    q = q % p
+    require_lens_pair(p, q)
     nontrivial = (p != 2 and q == p - 1) or (q not in (1, p - 1) and (q * q) % p == 1)
     if nontrivial:
         return GroupDescription("Z2", ("sigma",), cont0_trivial=True)
@@ -72,7 +66,7 @@ def contact_mcg(p: int, q: int) -> GroupDescription:
 
 def contact_mcg_rel_torus(p: int, q: int) -> GroupDescription:
     """Smooth mapping class group of L(p,q) relative to a Heegaard torus."""
-    _validate(p, q)
+    require_lens_pair(p, q)
     if (q * q) % p == 1:
         return GroupDescription("Z2xZ2", ("sigma", "tau"))
     return GroupDescription("Z2", ("tau",))
@@ -81,10 +75,9 @@ def contact_mcg_rel_torus(p: int, q: int) -> GroupDescription:
 def inclusion_kernel(p: int, q: int) -> GroupDescription:
     """Kernel of the map from the rel-torus group to the full mapping class
     group induced by inclusion."""
-    _validate(p, q)
+    require_lens_pair(p, q)
     if p == 2:
         return GroupDescription("Z2xZ2", ("sigma", "tau"))
-    q = q % p
     if q == p - 1:
         return GroupDescription("Z2", ("sigma*tau",))
     if q == 1:
@@ -95,16 +88,15 @@ def inclusion_kernel(p: int, q: int) -> GroupDescription:
 def inclusion_is_iso(p: int, q: int) -> bool:
     """Whether contact and smooth mapping class groups agree under the
     natural inclusion: exactly when q = -1 mod p."""
-    _validate(p, q)
-    return (q + 1) % p == 0
+    return q_is_minus_one(p, q)
 
 
 def unknot_classes(p: int, q: int) -> list[str]:
     """Oriented rational unknots in L(p,q) up to smooth isotopy."""
-    _validate(p, q)
+    require_lens_pair(p, q)
     if p == 2:
         return ["k1"]
-    if q % p in (1, p - 1):
+    if q in (1, p - 1):
         return ["k1", "-k1"]
     return ["k1", "-k1", "k2", "-k2"]
 

@@ -126,9 +126,6 @@ def neg_cf(x: Slope, form: str = "lens") -> list[int]:
         if v == r:
             break
         v = Fraction(-1) / (v - r)
-    assert all(r <= -2 for r in coeffs[:-1]) and coeffs[-1] <= -1
-    if form == "lens":
-        assert coeffs[-1] <= -2
     return coeffs
 
 
@@ -152,10 +149,19 @@ def cf_matrix_identity(coeffs: list[int]) -> tuple[int, int, int, int]:
     a, b, c, d = 1, 0, 0, 1
     for r in coeffs:
         a, b, c, d = a * (-r) + b * (-1), a, c * (-r) + d * (-1), c
-    p, p_, q, q_ = a, b, -c, -d
-    assert p * q_ - p_ * q == -1
-    assert eval_neg_cf(list(reversed(coeffs))) == Slope(-p, p_)
-    return p, p_, q, q_
+    return a, b, -c, -d
+
+
+def require_lens_pair(p: int, q: int) -> None:
+    """Reject (p, q) unless it names a lens space L(p,q): coprime p > q > 0."""
+    if not (p > q > 0) or math.gcd(p, q) != 1:
+        raise ValueError(f"need coprime p > q > 0, got ({p}, {q})")
+
+
+def q_is_minus_one(p: int, q: int) -> bool:
+    """Whether q = -1 mod p, for a lens pair (p, q)."""
+    require_lens_pair(p, q)
+    return q == p - 1
 
 
 def dual_fraction(p: int, q: int) -> Slope:
@@ -165,8 +171,7 @@ def dual_fraction(p: int, q: int) -> Slope:
     exactly when q == 1; otherwise it is the solution with the smallest
     positive q'.
     """
-    if not (p > q > 0) or math.gcd(p, q) != 1:
-        raise ValueError(f"need coprime p > q > 0, got ({p}, {q})")
+    require_lens_pair(p, q)
     if q == 1:
         return INFINITY
     q_ = (-pow(p, -1, q)) % q

@@ -10,11 +10,10 @@ integer elimination; no floats.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import Slope, neg_cf
+from .slopes import Slope, neg_cf, require_lens_pair
 
 KNOTS = ("k1", "k2")
 
@@ -44,13 +43,11 @@ class LinkingData:
     matrix: tuple[tuple[int, ...], ...]
     rot: tuple[int, ...]
     lk: tuple[int, ...]
-    rot0: int = 0
 
 
 def build_chain(p: int, q: int, knot: str = "k1") -> SurgeryChain:
     """Surgery chain presenting the rational unknot k1 or k2 in L(p,q)."""
-    if not (p > q > 0) or math.gcd(p, q) != 1:
-        raise ValueError(f"need coprime p > q > 0, got ({p}, {q})")
+    require_lens_pair(p, q)
     if knot not in KNOTS:
         raise ValueError(f"knot must be one of {KNOTS}, got {knot!r}")
     framings = tuple(neg_cf(Slope(-p, q)))
@@ -129,13 +126,10 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
     return out
 
 
-def rot_q_surgery(data: LinkingData, order: int | None = None) -> Fraction:
-    """Rational rotation number rot0 - rot . M^-1 . lk, exactly."""
+def rot_q_surgery(data: LinkingData) -> Fraction:
+    """Rational rotation number -rot . M^-1 . lk, exactly."""
     x = solve_exact(data.matrix, list(data.lk))
-    value = data.rot0 - sum(r * xi for r, xi in zip(data.rot, x))
-    if order is not None:
-        assert (value * order).denominator == 1
-    return value
+    return -sum(r * xi for r, xi in zip(data.rot, x))
 
 
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:
@@ -144,9 +138,4 @@ def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:
     chain = build_chain(p, q, knot)
     matrix = linking_matrix(chain)
     lk = meridian_lk(chain)
-    order = abs(det_bareiss(matrix))
-    assert order == p
-    return sorted(
-        rot_q_surgery(LinkingData(matrix, rot, lk, 0), order)
-        for rot in rot_choices(chain)
-    )
+    return sorted(rot_q_surgery(LinkingData(matrix, rot, lk)) for rot in rot_choices(chain))

@@ -8,22 +8,16 @@ signs within blocks of mutually shuffleable edges.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import geodesic
-from .slopes import Slope, farey_mul, neg_cf
-
-
-def _require_lens_pair(p: int, q: int):
-    if not (p > q > 0) or math.gcd(p, q) != 1:
-        raise ValueError(f"need coprime p > q > 0, got ({p}, {q})")
+from .slopes import Slope, farey_mul, neg_cf, q_is_minus_one, require_lens_pair
 
 
 def decorated_path(p: int, q: int) -> list[Slope]:
     """The Farey geodesic from -p/q to 0 carrying the decoration."""
-    _require_lens_pair(p, q)
+    require_lens_pair(p, q)
     return geodesic(Slope(-p, q), Slope(0))
 
 
@@ -110,7 +104,7 @@ def class_from_signs(p: int, q: int, signs: str) -> ShuffleClass:
 
 def count_tight_lens(p: int, q: int) -> int:
     """Closed-form count |(r_0+1)...(r_n+1)| of tight structures on L(p,q)."""
-    _require_lens_pair(p, q)
+    require_lens_pair(p, q)
     count = 1
     for r in neg_cf(Slope(-p, q)):
         count *= abs(r + 1)
@@ -146,5 +140,4 @@ def is_universally_tight(ts: ShuffleClass) -> bool:
 def standard_structures(p: int, q: int) -> int:
     """How many standard contact structures L(p,q) carries: 1 when the two
     constant-sign decorations are isotopic (q = -1 mod p), else 2."""
-    _require_lens_pair(p, q)
-    return 1 if (q + 1) % p == 0 else 2
+    return 1 if q_is_minus_one(p, q) else 2

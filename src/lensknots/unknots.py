@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .mcg import unknot_classes
 from .slopes import dual_fraction
 from .tight import ShuffleClass
 
@@ -86,18 +87,11 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
 
 
 def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
-    """Peak Legendrian representatives of the rational unknots in the given
-    tight structure: k1 alone for p = 2, both orientations of k1 when
-    q = +-1 mod p, and all four oriented unknots otherwise."""
-    if p == 2:
-        knots = ["k1"]
-    elif q % p in (1, p - 1):
-        knots = ["k1", "-k1"]
-    else:
-        knots = ["k1", "-k1", "k2", "-k2"]
+    """Peak Legendrian representatives in the given tight structure, one per
+    oriented rational unknot of unknot_classes(p, q)."""
     return [
         LegendrianClass(k, tb_q_peak(p, q, k), rot_q_farey(ts, k), ts)
-        for k in knots
+        for k in unknot_classes(p, q)
     ]
 
 

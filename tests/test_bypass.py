@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lensknots.bypass import TorusState, attach_bypass, basic_slice_walk, tb_from_dividing
+from lensknots.checks import lens_pairs
 from lensknots.farey import geodesic
 from lensknots.slopes import ZERO, Slope
 
@@ -45,6 +46,7 @@ def test_tb_from_dividing():
 
 
 def test_basic_slice_walk_traces_geodesic():
-    walk = basic_slice_walk(Slope(-12, 5), ZERO)
-    assert [t.dividing_slope for t in walk] == geodesic(Slope(-12, 5), ZERO)
-    assert all(t.num_dividing == 2 for t in walk)
+    for p, q in lens_pairs(30):
+        walk = basic_slice_walk(Slope(-p, q), ZERO)
+        assert [t.dividing_slope for t in walk] == geodesic(Slope(-p, q), ZERO)
+        assert all(t.num_dividing == 2 for t in walk)

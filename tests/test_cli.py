@@ -151,6 +151,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["surgery", "5", "2", "--rots", "1"], ["mountain-range", "5", "2"], ["mcg", "5"]],
+)
+def test_usage_error_message(capsys, argv):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_slope_exit_code(capsys):
     code = main(["farey", "path", "abc", "0"])
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lensknots.checks import lens_pairs
 from lensknots.slopes import (
     INFINITY,
     ZERO,
@@ -139,8 +140,10 @@ def test_dual_fraction_values():
 
 
 def test_dual_fraction_matches_matrix_identity():
-    for p, q in [(5, 2), (12, 5), (9, 2), (7, 3), (30, 11)]:
+    for p, q in lens_pairs(40):
         coeffs = neg_cf(Slope(-p, q))
         mp, mp_, mq, mq_ = cf_matrix_identity(coeffs)
         assert (mp, mq) == (p, q)
         assert dual_fraction(p, q) == Slope(mp_, mq_)
+        assert mp * mq_ - mp_ * mq == -1
+        assert eval_neg_cf(list(reversed(coeffs))) == Slope(-mp, mp_)
