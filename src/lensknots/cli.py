@@ -17,15 +17,7 @@ from .bypass import TorusState, attach_bypass
 from .checks import check_sweep
 from .farey import geodesic
 from .slopes import Slope
-from .surgery import (
-    LinkingData,
-    build_chain,
-    det_bareiss,
-    linking_matrix,
-    meridian_lk,
-    rot_q_surgery,
-    rot_spectrum,
-)
+from .surgery import build_chain, det_bareiss, linking_matrix, rot_q_surgery, rot_spectrum
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
 from .unknots import legendrian_classification, mountain_range
 
@@ -80,9 +72,7 @@ def cmd_surgery(args) -> int:
     }
     if args.rots:
         rot = tuple(int(v) for v in args.rots.split(","))
-        if len(rot) != len(chain.framings):
-            raise ValueError("wrong number of rotation numbers")
-        out["rot_q"] = str(rot_q_surgery(LinkingData(matrix, rot, meridian_lk(chain))))
+        out["rot_q"] = str(rot_q_surgery(chain, [rot])[0])
     else:
         out["spectrum"] = [str(v) for v in rot_spectrum(args.p, args.q, args.knot)]
     if args.format == "json":
@@ -262,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mcg = sub.add_parser("mcg", help="mapping class group tables")
     p_mcg.add_argument("args", nargs="+", metavar="P Q | s1s2")
-    p_mcg.add_argument("--smooth", action="store_true")
-    p_mcg.add_argument("--contact", action="store_true")
-    p_mcg.add_argument("--rel-torus", dest="rel_torus", action="store_true")
-    p_mcg.add_argument("--kernel", action="store_true")
+    table = p_mcg.add_mutually_exclusive_group()
+    table.add_argument("--smooth", action="store_true")
+    table.add_argument("--contact", action="store_true")
+    table.add_argument("--rel-torus", dest="rel_torus", action="store_true")
+    table.add_argument("--kernel", action="store_true")
     p_mcg.set_defaults(func=cmd_mcg)
 
     p_check = sub.add_parser("check", help="cross-validation sweep")

@@ -36,15 +36,6 @@ class SurgeryChain:
             raise ValueError("meridian_of must be 'first' or 'last'")
 
 
-@dataclass(frozen=True)
-class LinkingData:
-    """Inputs to the surgery-presentation rotation number formula."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    rot: tuple[int, ...]
-    lk: tuple[int, ...]
-
-
 def build_chain(p: int, q: int, knot: str = "k1") -> SurgeryChain:
     """Surgery chain presenting the rational unknot k1 or k2 in L(p,q)."""
     require_lens_pair(p, q)
@@ -126,16 +117,22 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
     return out
 
 
-def rot_q_surgery(data: LinkingData) -> Fraction:
-    """Rational rotation number -rot . M^-1 . lk, exactly."""
-    x = solve_exact(data.matrix, list(data.lk))
-    return -sum(r * xi for r, xi in zip(data.rot, x))
+def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
+    """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
+    rots (each one that rot_choices lists); M^-1 . lk is solved once."""
+    x = solve_exact(linking_matrix(chain), meridian_lk(chain))
+    out = []
+    for rot in rots:
+        if len(rot) != len(chain.framings):
+            raise ValueError("wrong number of rotation numbers")
+        if any(abs(v) > -r - 2 or (v - r) % 2 for v, r in zip(rot, chain.framings)):
+            raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
+        out.append(-sum(v * xi for v, xi in zip(rot, x)))
+    return out
 
 
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:
     """Sorted multiset of rational rotation numbers of the given rational
     unknot over all stabilization choices of the chain."""
     chain = build_chain(p, q, knot)
-    matrix = linking_matrix(chain)
-    lk = meridian_lk(chain)
-    return sorted(rot_q_surgery(LinkingData(matrix, rot, lk)) for rot in rot_choices(chain))
+    return sorted(rot_q_surgery(chain, rot_choices(chain)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .mcg import unknot_classes
-from .slopes import dual_fraction
+from .slopes import dual_fraction, require_lens_pair
 from .tight import ShuffleClass
 
 ORIENTED_KNOTS = ("k1", "-k1", "k2", "-k2")
@@ -20,10 +20,16 @@ def _base_knot(knot: str) -> tuple[str, int]:
     return (knot.lstrip("-"), -1 if knot.startswith("-") else 1)
 
 
+def _require_structure_on(p: int, q: int, ts: ShuffleClass) -> None:
+    if (p, q) != (ts.p, ts.q):
+        raise ValueError(f"structure on L({ts.p},{ts.q}) does not live on L({p},{q})")
+
+
 def tb_q_peak(p: int, q: int, knot: str = "k1") -> Fraction:
     """Maximal rational Thurston-Bennequin number: -(p-q)/p for k1 and
     -(p-p')/p for k2, where p'/q' is the dual fraction of p/q."""
     base, _ = _base_knot(knot)
+    require_lens_pair(p, q)
     if base == "k1":
         return Fraction(-(p - q), p)
     p_ = dual_fraction(p, q).num
@@ -89,6 +95,7 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
 def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
     """Peak Legendrian representatives in the given tight structure, one per
     oriented rational unknot of unknot_classes(p, q)."""
+    _require_structure_on(p, q, ts)
     return [
         LegendrianClass(k, tb_q_peak(p, q, k), rot_q_farey(ts, k), ts)
         for k in unknot_classes(p, q)
@@ -119,6 +126,7 @@ def mountain_range(
     rotation peak_rot - k, peak_rot - k + 2, ..., peak_rot + k."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    _require_structure_on(p, q, ts)
     rot = rot_q_farey(ts, knot)
     tb = tb_q_peak(p, q, knot)
     points = []

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lensknots.checks import lens_pairs
 from lensknots.cli import main
+from lensknots.slopes import Slope
+from lensknots.tight import enumerate_tight
+from lensknots.unknots import legendrian_classification
 
 
 def run(capsys, *argv):
@@ -146,14 +154,21 @@ def test_check_json(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["farey", "path", "0"])
-    assert exc.value.code == 2
+    for argv in (["farey", "path", "0"], ["mcg", "8", "3", "--smooth", "--contact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["surgery", "5", "2", "--rots", "1"], ["mountain-range", "5", "2"], ["mcg", "5"]],
+    [
+        ["surgery", "5", "2", "--rots", "1"],
+        ["mountain-range", "5", "2"],
+        ["mcg", "5"],
+        ["surgery", "3", "1", "--rots=5"],
+        ["surgery", "3", "1", "--rots=0"],
+    ],
 )
 def test_usage_error_message(capsys, argv):
     code = main(argv)
@@ -169,3 +184,37 @@ def test_bad_slope_exit_code(capsys):
 def test_degenerate_arc_exit_code(capsys):
     code = main(["farey", "path", "0", "0"])
     assert code == 2
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+LENS_PAIRS = list(lens_pairs(30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(LENS_PAIRS),
+        st.tuples(st.integers(-5, 30), st.integers(-5, 30)),
+    )
+)
+def test_unknots_json_roundtrip(pq):
+    p, q = pq
+    code, out, err = run_captured(["unknots", str(p), str(q), "--format", "json"])
+    if pq not in LENS_PAIRS:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        return
+    assert code == 0
+    expected = [c for ts in enumerate_tight(p, q) for c in legendrian_classification(p, q, ts)]
+    rows = json.loads(out)
+    assert len(rows) == len(expected)
+    for row, c in zip(rows, expected):
+        assert row["knot"] == c.knot
+        for key in ("tb_q", "rot_q", "sl_q"):
+            assert Slope.parse(row[key]).as_fraction() == getattr(c, key)

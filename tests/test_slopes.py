@@ -57,6 +57,11 @@ class TestSlope:
     def test_neg_involution(self, s):
         assert -(-s) == s
 
+    @given(st.tuples(st.integers(), st.integers()).filter(lambda t: t != (0, 0)))
+    def test_parse_inverts_str(self, pair):
+        s = Slope(*pair)
+        assert Slope.parse(str(s)) == s
+
 
 def test_farey_sum_examples():
     assert farey_sum(Slope(-1, 2), Slope(0, 1)) == Slope(-1, 3)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import lensknots.surgery as surgery
+from lensknots.checks import lens_pairs
 from lensknots.surgery import (
-    LinkingData,
     SurgeryChain,
     build_chain,
     det_bareiss,
@@ -103,9 +104,29 @@ def test_solve_exact():
 class TestRotation:
     def test_single_component(self):
         # L(3,1): chain (-3), meridian rot = -rot1 * (1 / -3)
-        m = ((-3,),)
-        assert rot_q_surgery(LinkingData(m, (-1,), (1,))) == Fraction(-1, 3)
-        assert rot_q_surgery(LinkingData(m, (1,), (1,))) == Fraction(1, 3)
+        chain = SurgeryChain((-3,))
+        assert rot_q_surgery(chain, [(-1,), (1,)]) == [Fraction(-1, 3), Fraction(1, 3)]
+
+    def test_rejects_unrealizable_vectors(self):
+        chain = SurgeryChain((-3, -2))
+        for rot in [(1,), (1, 0, 0), (3, 0), (-3, 0), (0, 0), (1, 2), (1, 1)]:
+            with pytest.raises(ValueError):
+                rot_q_surgery(chain, [rot])
+        assert rot_q_surgery(chain, []) == []
+
+    def test_one_solve_per_spectrum(self, monkeypatch):
+        calls = []
+
+        def counting_solve(matrix, rhs):
+            calls.append(len(rhs))
+            return solve_exact(matrix, rhs)
+
+        monkeypatch.setattr(surgery, "solve_exact", counting_solve)
+        for p, q in lens_pairs(12):
+            for knot in ("k1", "k2"):
+                calls.clear()
+                rot_spectrum(p, q, knot)
+                assert len(calls) == 1, f"L({p},{q}) {knot}"
 
     @pytest.mark.parametrize(
         "p,q,knot,spectrum",

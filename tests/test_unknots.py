@@ -54,6 +54,12 @@ class TestPeakTb:
         with pytest.raises(ValueError):
             tb_q_peak(5, 2, "k3")
 
+    @pytest.mark.parametrize("p,q", [(1, 5), (4, 2), (5, 5), (5, 0), (-5, 2)])
+    def test_needs_lens_pair(self, p, q):
+        for knot in ("k1", "-k1", "k2", "-k2"):
+            with pytest.raises(ValueError):
+                tb_q_peak(p, q, knot)
+
 
 class TestRotation:
     def test_undecorated_structures_have_rot_zero(self):
@@ -116,6 +122,16 @@ class TestClassification:
             Fraction(-1, 5),
             Fraction(-3, 5),
         ]
+
+    def test_structure_must_live_on_the_lens_space(self):
+        ts = enumerate_tight(7, 2)[0]
+        for p, q in [(5, 2), (7, 3)]:
+            with pytest.raises(ValueError):
+                legendrian_classification(p, q, ts)
+            with pytest.raises(ValueError):
+                transverse_classification(p, q, ts)
+            with pytest.raises(ValueError):
+                mountain_range(p, q, ts, "k1", depth=1)
 
 
 def test_stabilize():
