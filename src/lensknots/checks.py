@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
 from .slopes import Slope
-from .surgery import build_chain, det_bareiss, linking_matrix, rot_spectrum
+from .surgery import KNOTS, build_chain, det_bareiss, linking_matrix, rot_spectrum
 from .tight import count_tight_lens, enumerate_tight, is_universally_tight, standard_structures
 from .unknots import legendrian_classification, rot_q_farey
 
@@ -81,7 +81,7 @@ def _geodesic_failures(p_max):
 def _rot_failures(p_max):
     for p, q in lens_pairs(p_max):
         classes = enumerate_tight(p, q)
-        for knot in ("k1", "k2"):
+        for knot in KNOTS:
             farey_side = sorted(rot_q_farey(ts, knot) for ts in classes)
             if farey_side != rot_spectrum(p, q, knot):
                 yield f"L({p},{q}) {knot}"
@@ -89,7 +89,7 @@ def _rot_failures(p_max):
 
 def _det_failures(p_max):
     for p, q in lens_pairs(p_max):
-        for knot in ("k1", "k2"):
+        for knot in KNOTS:
             if abs(det_bareiss(linking_matrix(build_chain(p, q, knot)))) != p:
                 yield f"L({p},{q}) {knot}"
 

@@ -17,9 +17,16 @@ from .bypass import TorusState, attach_bypass
 from .checks import check_sweep
 from .farey import geodesic
 from .slopes import Slope
-from .surgery import build_chain, det_bareiss, linking_matrix, rot_q_surgery, rot_spectrum
+from .surgery import KNOTS, build_chain, linking_det, linking_matrix, rot_q_surgery, rot_spectrum
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
 from .unknots import legendrian_classification, mountain_range
+
+_MCG_TABLES = {
+    "smooth": mcg_mod.smooth_mcg,
+    "contact": mcg_mod.contact_mcg,
+    "rel-torus": mcg_mod.contact_mcg_rel_torus,
+    "kernel": mcg_mod.inclusion_kernel,
+}
 
 
 def _group_str(g) -> str:
@@ -62,13 +69,11 @@ def cmd_tight(args) -> int:
 
 def cmd_surgery(args) -> int:
     chain = build_chain(args.p, args.q, args.knot)
-    matrix = linking_matrix(chain)
-    det = det_bareiss(matrix)
     out = {
         "framings": list(chain.framings),
         "meridian_of": chain.meridian_of,
-        "matrix": [list(row) for row in matrix],
-        "det": det,
+        "matrix": [list(row) for row in linking_matrix(chain)],
+        "det": linking_det(chain),
     }
     if args.rots:
         rot = tuple(int(v) for v in args.rots.split(","))
@@ -80,7 +85,7 @@ def cmd_surgery(args) -> int:
     else:
         for row in out["matrix"]:
             print("\t".join(str(v) for v in row))
-        print(f"det\t{det}")
+        print(f"det\t{out['det']}")
         if "rot_q" in out:
             print(f"rot_q\t{out['rot_q']}")
         else:
@@ -158,40 +163,29 @@ def cmd_mountain(args) -> int:
 
 def cmd_mcg(args) -> int:
     if args.args == ["s1s2"]:
+        if args.table not in (None, "contact"):
+            raise ValueError(f"mcg s1s2 tabulates only the contact group, not --{args.table}")
         print(_group_str(mcg_mod.contact_mcg_s1s2()))
         return 0
     if len(args.args) != 2:
         raise ValueError(f"mcg takes P Q or s1s2, got {' '.join(args.args)}")
     p, q = int(args.args[0]), int(args.args[1])
-    if args.smooth:
-        print(_group_str(mcg_mod.smooth_mcg(p, q)))
-    elif args.rel_torus:
-        print(_group_str(mcg_mod.contact_mcg_rel_torus(p, q)))
-    elif args.kernel:
-        print(_group_str(mcg_mod.inclusion_kernel(p, q)))
-    elif args.contact:
-        print(_group_str(mcg_mod.contact_mcg(p, q)))
+    if args.table:
+        print(_group_str(_MCG_TABLES[args.table](p, q)))
     else:
-        print(f"smooth: {_group_str(mcg_mod.smooth_mcg(p, q))}")
-        print(f"contact: {_group_str(mcg_mod.contact_mcg(p, q))}")
+        for name in ("smooth", "contact"):
+            print(f"{name}: {_group_str(_MCG_TABLES[name](p, q))}")
     return 0
 
 
 def cmd_check(args) -> int:
     report = check_sweep(args.pmax)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "p_max": report.p_max,
-                    "runtime": round(report.runtime, 3),
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "counterexample": c.counterexample}
-                        for c in report.checks
-                    ],
-                }
-            )
-        )
+        checks = [
+            {"name": c.name, "passed": c.passed, "counterexample": c.counterexample}
+            for c in report.checks
+        ]
+        print(json.dumps({"p_max": report.p_max, "checks": checks}))
     else:
         for c in report.checks:
             status = "PASS" if c.passed else f"FAIL at {c.counterexample}"
@@ -229,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surg = sub.add_parser("surgery", help="chain surgery presentation")
     p_surg.add_argument("p", type=int)
     p_surg.add_argument("q", type=int)
-    p_surg.add_argument("--knot", choices=["k1", "k2"], default="k1")
+    p_surg.add_argument("--knot", choices=KNOTS, default="k1")
     p_surg.add_argument("--rots", help="comma-separated rotation numbers")
     p_surg.add_argument("--format", choices=["json", "tsv"], default="tsv")
     p_surg.set_defaults(func=cmd_surgery)
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mr = sub.add_parser("mountain-range", help="Legendrian mountain range")
     p_mr.add_argument("p", type=int)
     p_mr.add_argument("q", type=int)
-    p_mr.add_argument("--knot", choices=["k1", "-k1", "k2", "-k2"], default="k1")
+    p_mr.add_argument("--knot", choices=mcg_mod.ORIENTED_KNOTS, default="k1")
     p_mr.add_argument("--structure", metavar="SIGNS")
     p_mr.add_argument("--depth", type=int, default=4)
     p_mr.add_argument("--format", choices=["tsv", "json", "svg"], default="tsv")
@@ -253,10 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mcg = sub.add_parser("mcg", help="mapping class group tables")
     p_mcg.add_argument("args", nargs="+", metavar="P Q | s1s2")
     table = p_mcg.add_mutually_exclusive_group()
-    table.add_argument("--smooth", action="store_true")
-    table.add_argument("--contact", action="store_true")
-    table.add_argument("--rel-torus", dest="rel_torus", action="store_true")
-    table.add_argument("--kernel", action="store_true")
+    for name in _MCG_TABLES:
+        table.add_argument(f"--{name}", dest="table", action="store_const", const=name)
     p_mcg.set_defaults(func=cmd_mcg)
 
     p_check = sub.add_parser("check", help="cross-validation sweep")
@@ -267,15 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEG_SLOPE = re.compile(r"^-(\d+(/\d+)?|inf)$")
+_NEG_SLOPE = re.compile(r"-(\d|inf$)")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # Pad negative slopes so argparse does not mistake them for options;
-    # Slope.parse strips the space again.
+    # Pad negative numbers, slopes and comma lists so argparse does not mistake
+    # them for options; Slope.parse and int strip the space again.
     argv = [" " + a if _NEG_SLOPE.match(a) else a for a in argv]
     args = parser.parse_args(argv)
     try:

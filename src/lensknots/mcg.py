@@ -1,19 +1,23 @@
-"""Case tables for the smooth and contact mapping class groups of lens
-spaces and S^1 x S^2, and the related rational unknot counts.
+"""The main theorem's case table: the smooth and contact mapping class
+groups of lens spaces and S^1 x S^2, and the related rational unknot counts.
 
 All answers are finite (or Z + finite) groups given by a tag and named
-generators: sigma swaps the two Heegaard solid tori (it exists when
-q^2 = 1 mod p), tau is complex conjugation, delta is the sphere Dehn twist
-and eta the point reflection on S^1 x S^2.
+generators: sigma swaps the Heegaard solid tori (it exists when q^2 = 1 mod p
+and is smoothly tau when q = -1), tau is complex conjugation, delta is the
+sphere Dehn twist and eta the point reflection on S^1 x S^2.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .slopes import q_is_minus_one, require_lens_pair
 
-_ORDERS = {"trivial": 1, "Z2": 2, "Z2xZ2": 4, "ZxZ2": None}
+ORIENTED_KNOTS = ("k1", "-k1", "k2", "-k2")
+
+# tag -> (group order, number of generators); the infinite group's order is None
+_TAGS = {"trivial": (1, 0), "Z2": (2, 1), "Z2xZ2": (4, 2), "ZxZ2": (None, 2)}
 
 
 @dataclass(frozen=True)
@@ -29,60 +33,60 @@ class GroupDescription:
     cont0_trivial: bool | None = None
 
     def __post_init__(self):
-        expected = {"trivial": 0, "Z2": 1, "Z2xZ2": 2, "ZxZ2": 2}
-        if self.tag not in expected:
+        if self.tag not in _TAGS:
             raise ValueError(f"unknown group tag {self.tag!r}")
-        if len(self.generators) != expected[self.tag]:
-            raise ValueError(f"{self.tag} needs {expected[self.tag]} generators")
+        if len(self.generators) != _TAGS[self.tag][1]:
+            raise ValueError(f"{self.tag} needs {_TAGS[self.tag][1]} generators")
 
     @property
     def order(self) -> int | None:
         """Group order; None for the infinite group."""
-        return _ORDERS[self.tag]
+        return _TAGS[self.tag][0]
+
+
+_TRIVIAL = GroupDescription("trivial")
+_SIGMA = GroupDescription("Z2", ("sigma",))
+_TAU = GroupDescription("Z2", ("tau",))
+_SIGMA_TAU = GroupDescription("Z2xZ2", ("sigma", "tau"))
+_CONTACT_TRIVIAL = GroupDescription("trivial", cont0_trivial=True)
+_CONTACT_SIGMA = GroupDescription("Z2", ("sigma",), cont0_trivial=True)
+# One row per case of the main theorem, in _case's order: the smooth, contact,
+# rel-torus and kernel groups, and how many of ORIENTED_KNOTS are distinct.
+_Row = namedtuple("_Row", "smooth contact rel_torus kernel unknots")
+_TABLE = (
+    _Row(_TRIVIAL, _CONTACT_TRIVIAL, _SIGMA_TAU, _SIGMA_TAU, 1),  # p = 2
+    _Row(_SIGMA, _CONTACT_SIGMA, _SIGMA_TAU, GroupDescription("Z2", ("sigma*tau",)), 2),  # q = -1
+    _Row(_TAU, _CONTACT_TRIVIAL, _SIGMA_TAU, _SIGMA, 2),  # q = 1
+    _Row(_SIGMA_TAU, _CONTACT_SIGMA, _SIGMA_TAU, _TRIVIAL, 4),  # q^2 = 1
+    _Row(_TAU, _CONTACT_TRIVIAL, _TAU, _TRIVIAL, 4),  # generic
+)
+
+
+def _case(p: int, q: int) -> _Row:
+    require_lens_pair(p, q)
+    tests = (p == 2, q_is_minus_one(p, q), q == 1, (q * q) % p == 1, True)
+    return _TABLE[tests.index(True)]
 
 
 def smooth_mcg(p: int, q: int) -> GroupDescription:
     """Mapping class group of L(p,q) (orientation preserving)."""
-    require_lens_pair(p, q)
-    if p == 2:
-        return GroupDescription("trivial")
-    if q == p - 1:
-        return GroupDescription("Z2", ("sigma",))  # here sigma ~ tau
-    if q == 1:
-        return GroupDescription("Z2", ("tau",))
-    if (q * q) % p == 1:
-        return GroupDescription("Z2xZ2", ("sigma", "tau"))
-    return GroupDescription("Z2", ("tau",))
+    return _case(p, q).smooth
 
 
 def contact_mcg(p: int, q: int) -> GroupDescription:
     """Contact mapping class group of the standard structure on L(p,q)."""
-    require_lens_pair(p, q)
-    nontrivial = (p != 2 and q == p - 1) or (q not in (1, p - 1) and (q * q) % p == 1)
-    if nontrivial:
-        return GroupDescription("Z2", ("sigma",), cont0_trivial=True)
-    return GroupDescription("trivial", (), cont0_trivial=True)
+    return _case(p, q).contact
 
 
 def contact_mcg_rel_torus(p: int, q: int) -> GroupDescription:
     """Smooth mapping class group of L(p,q) relative to a Heegaard torus."""
-    require_lens_pair(p, q)
-    if (q * q) % p == 1:
-        return GroupDescription("Z2xZ2", ("sigma", "tau"))
-    return GroupDescription("Z2", ("tau",))
+    return _case(p, q).rel_torus
 
 
 def inclusion_kernel(p: int, q: int) -> GroupDescription:
     """Kernel of the map from the rel-torus group to the full mapping class
     group induced by inclusion."""
-    require_lens_pair(p, q)
-    if p == 2:
-        return GroupDescription("Z2xZ2", ("sigma", "tau"))
-    if q == p - 1:
-        return GroupDescription("Z2", ("sigma*tau",))
-    if q == 1:
-        return GroupDescription("Z2", ("sigma",))
-    return GroupDescription("trivial")
+    return _case(p, q).kernel
 
 
 def inclusion_is_iso(p: int, q: int) -> bool:
@@ -93,12 +97,7 @@ def inclusion_is_iso(p: int, q: int) -> bool:
 
 def unknot_classes(p: int, q: int) -> list[str]:
     """Oriented rational unknots in L(p,q) up to smooth isotopy."""
-    require_lens_pair(p, q)
-    if p == 2:
-        return ["k1"]
-    if q in (1, p - 1):
-        return ["k1", "-k1"]
-    return ["k1", "-k1", "k2", "-k2"]
+    return list(ORIENTED_KNOTS[: _case(p, q).unknots])
 
 
 def contact_mcg_s1s2() -> GroupDescription:

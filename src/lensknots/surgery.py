@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import Slope, neg_cf, require_lens_pair
+from .slopes import Slope, cf_matrix_identity, neg_cf, require_lens_pair
 
 KNOTS = ("k1", "k2")
 
@@ -55,6 +55,12 @@ def linking_matrix(chain: SurgeryChain) -> tuple[tuple[int, ...], ...]:
         )
         for i in range(n)
     )
+
+
+def linking_det(chain: SurgeryChain) -> int:
+    """Determinant of the linking matrix, (-1)^n times the continuant p of
+    the chain's continued fraction; det_bareiss is the independent check."""
+    return (-1) ** len(chain.framings) * cf_matrix_identity(chain.framings)[0]
 
 
 def meridian_lk(chain: SurgeryChain) -> tuple[int, ...]:

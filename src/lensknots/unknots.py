@@ -7,11 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .mcg import unknot_classes
+from .mcg import ORIENTED_KNOTS, unknot_classes
 from .slopes import dual_fraction, require_lens_pair
 from .tight import ShuffleClass
-
-ORIENTED_KNOTS = ("k1", "-k1", "k2", "-k2")
 
 
 def _base_knot(knot: str) -> tuple[str, int]:

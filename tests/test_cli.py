@@ -65,6 +65,12 @@ def test_surgery_explicit_rots(capsys):
     assert json.loads(out)["rot_q"] == "-1/3"
 
 
+def test_surgery_rots_list_may_start_with_minus(capsys):
+    spaced = run(capsys, "surgery", "12", "5", "--rots", "-1,0,1")
+    assert spaced == run(capsys, "surgery", "12", "5", "--rots=-1,0,1")
+    assert spaced[0] == 0 and "rot_q\t" in spaced[1]
+
+
 def test_unknots_tsv(capsys):
     code, out = run(capsys, "unknots", "2", "1")
     lines = out.strip().splitlines()
@@ -137,6 +143,7 @@ def test_mcg_spot_values(capsys):
     assert out.strip() == "Z2 [sigma*tau]"
     code, out = run(capsys, "mcg", "s1s2")
     assert out.strip() == "ZxZ2 [delta eta]"
+    assert run(capsys, "mcg", "s1s2", "--contact") == (0, out)
 
 
 def test_check_passes(capsys):
@@ -151,6 +158,12 @@ def test_check_json(capsys):
     payload = json.loads(out)
     assert payload["p_max"] == 5
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_check_json_is_deterministic(capsys):
+    first = run(capsys, "check", "--pmax", "5", "--format", "json")
+    assert first == run(capsys, "check", "--pmax", "5", "--format", "json")
+    assert "runtime" not in json.loads(first[1])
 
 
 def test_usage_error_exit_code():
@@ -168,6 +181,9 @@ def test_usage_error_exit_code():
         ["mcg", "5"],
         ["surgery", "3", "1", "--rots=5"],
         ["surgery", "3", "1", "--rots=0"],
+        ["mcg", "s1s2", "--smooth"],
+        ["mcg", "s1s2", "--rel-torus"],
+        ["mcg", "s1s2", "--kernel"],
     ],
 )
 def test_usage_error_message(capsys, argv):

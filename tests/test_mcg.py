@@ -111,6 +111,45 @@ def test_unknot_classes():
     assert unknot_classes(5, 2) == ["k1", "-k1", "k2", "-k2"]
 
 
+def _g(tag, *generators, cont0=None):
+    return GroupDescription(tag, generators, cont0)
+
+
+@pytest.mark.parametrize(
+    "p,q,smooth,contact,rel_torus,kernel,iso,knots",
+    [
+        (
+            2, 1, _g("trivial"), _g("trivial", cont0=True), _g("Z2xZ2", "sigma", "tau"),
+            _g("Z2xZ2", "sigma", "tau"), True, ["k1"],
+        ),
+        (
+            7, 6, _g("Z2", "sigma"), _g("Z2", "sigma", cont0=True), _g("Z2xZ2", "sigma", "tau"),
+            _g("Z2", "sigma*tau"), True, ["k1", "-k1"],
+        ),
+        (
+            7, 1, _g("Z2", "tau"), _g("trivial", cont0=True), _g("Z2xZ2", "sigma", "tau"),
+            _g("Z2", "sigma"), False, ["k1", "-k1"],
+        ),
+        (
+            8, 3, _g("Z2xZ2", "sigma", "tau"), _g("Z2", "sigma", cont0=True),
+            _g("Z2xZ2", "sigma", "tau"), _g("trivial"), False, ["k1", "-k1", "k2", "-k2"],
+        ),
+        (
+            7, 2, _g("Z2", "tau"), _g("trivial", cont0=True), _g("Z2", "tau"), _g("trivial"),
+            False, ["k1", "-k1", "k2", "-k2"],
+        ),
+    ],
+    ids=["p=2", "q=-1", "q=1", "q^2=1", "generic"],
+)
+def test_one_representative_per_case(p, q, smooth, contact, rel_torus, kernel, iso, knots):
+    assert smooth_mcg(p, q) == smooth
+    assert contact_mcg(p, q) == contact
+    assert contact_mcg_rel_torus(p, q) == rel_torus
+    assert inclusion_kernel(p, q) == kernel
+    assert inclusion_is_iso(p, q) is iso
+    assert unknot_classes(p, q) == knots
+
+
 def test_s1s2():
     g = contact_mcg_s1s2()
     assert g.tag == "ZxZ2"

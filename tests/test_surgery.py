@@ -7,9 +7,11 @@ import pytest
 import lensknots.surgery as surgery
 from lensknots.checks import lens_pairs
 from lensknots.surgery import (
+    KNOTS,
     SurgeryChain,
     build_chain,
     det_bareiss,
+    linking_det,
     linking_matrix,
     meridian_lk,
     rot_choices,
@@ -91,6 +93,12 @@ class TestDeterminant:
     def test_singular(self):
         assert det_bareiss([[1, 2], [2, 4]]) == 0
         assert det_bareiss([[0, 1], [1, 0]]) == -1  # needs a row swap
+
+    def test_linking_det_matches_bareiss(self):
+        for p, q in lens_pairs(60):
+            for knot in KNOTS:
+                chain = build_chain(p, q, knot)
+                assert linking_det(chain) == det_bareiss(linking_matrix(chain)), f"L({p},{q})"
 
 
 def test_solve_exact():
