@@ -7,15 +7,24 @@ class index) instead of raising, so the CLI can show it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
-from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
+from .mcg import ORIENTED_KNOTS, contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
 from .slopes import Slope
 from .surgery import KNOTS, build_chain, det_bareiss, linking_matrix, rot_spectrum
-from .tight import count_tight_lens, enumerate_tight, is_universally_tight, standard_structures
+from .tight import (
+    ShuffleClass,
+    block_partition,
+    count_tight_lens,
+    enumerate_tight,
+    is_universally_tight,
+    standard_structures,
+)
 from .unknots import legendrian_classification, rot_q_farey
 
 
@@ -50,7 +59,7 @@ def _check(name, failures):
 
 
 def check_sweep(p_max: int) -> SweepReport:
-    """Run the six cross-module check families over all L(p,q), p <= p_max."""
+    """Run the seven cross-module check families over all L(p,q), p <= p_max."""
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     t0 = time.perf_counter()
@@ -58,6 +67,7 @@ def check_sweep(p_max: int) -> SweepReport:
         _check("tight-count formula vs enumeration", _count_failures(p_max)),
         _check("geodesic vs BFS oracle", _geodesic_failures(p_max)),
         _check("rotation numbers: Farey vs surgery", _rot_failures(p_max)),
+        _check("rotation numbers: blocks vs edges", _block_failures(p_max)),
         _check("linking matrix determinant = p", _det_failures(p_max)),
         _check("MCG divisibility and iso criterion", _mcg_failures(p_max)),
         _check("universally tight counts", _univ_failures(p_max)),
@@ -85,6 +95,54 @@ def _rot_failures(p_max):
             farey_side = sorted(rot_q_farey(ts, knot) for ts in classes)
             if farey_side != rot_spectrum(p, q, knot):
                 yield f"L({p},{q}) {knot}"
+
+
+def _edge_weights(p, q, path, base):
+    """Weight of every decorated edge a -> b of the path, from its own
+    endpoints: the componentwise (unreduced) difference, taken with negative
+    numerators and positive denominators, crossed with -p/q for k1 and with
+    0/1 for k2."""
+    out = []
+    for a, b in zip(path[1:-2], path[2:-1]):
+        if a.num >= 0 or b.num >= 0:
+            raise ValueError("decorated-path vertices must be negative")
+        if base == "k1":
+            out.append((a.num - b.num) * q - (a.den - b.den) * (-p))
+        else:
+            out.append(b.num - a.num)
+    return out
+
+
+def _edge_sum(p, signs, weights):
+    if len(signs) != len(weights):
+        raise ValueError(f"{len(signs)} signs for {len(weights)} decorated edges")
+    return Fraction(sum(w if s == "+" else -w for s, w in zip(signs, weights)), p)
+
+
+def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
+    """Oracle for unknots.rot_q_farey: the signed sum over every decorated
+    edge, one term per edge, without the shuffle blocks."""
+    if knot not in ORIENTED_KNOTS:
+        raise ValueError(f"knot must be one of {ORIENTED_KNOTS}, got {knot!r}")
+    rot = _edge_sum(ts.p, ts.signs, _edge_weights(ts.p, ts.q, ts.path, knot.lstrip("-")))
+    return -rot if knot.startswith("-") else rot
+
+
+def _block_failures(p_max):
+    for p, q in lens_pairs(p_max):
+        classes = enumerate_tight(p, q)
+        path = classes[0].path
+        weights = {knot: _edge_weights(p, q, path, knot) for knot in KNOTS}
+        blocks = block_partition(path)
+        for knot in KNOTS:
+            edges = iter(weights[knot])
+            if any(len(set(itertools.islice(edges, size))) != 1 for size in blocks):
+                yield f"L({p},{q}) {knot} block weights"
+        for i, ts in enumerate(classes):
+            signs = ts.signs
+            for knot in KNOTS:
+                if rot_q_farey(ts, knot) != _edge_sum(p, signs, weights[knot]):
+                    yield f"L({p},{q}) class {i} {knot}"
 
 
 def _det_failures(p_max):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import geodesic
-from .slopes import Slope, farey_mul, neg_cf, q_is_minus_one, require_lens_pair
+from .slopes import Slope, dual_fraction, farey_mul, neg_cf, q_is_minus_one, require_lens_pair
 
 
 def decorated_path(p: int, q: int) -> list[Slope]:
@@ -46,19 +46,77 @@ def block_partition(path: list[Slope]) -> list[int]:
     return blocks
 
 
-@dataclass(frozen=True)
-class ShuffleClass:
-    """One isotopy class of tight contact structures on L(p,q).
+def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
+    """Maximal rational Thurston-Bennequin numbers of the cores k1 and k2:
+    -(p-q)/p and -(p-p')/p, where p'/q' is the dual fraction of p/q."""
+    require_lens_pair(p, q)
+    return Fraction(q - p, p), Fraction(dual_fraction(p, q).num - p, p)
 
-    The sign multiset per shuffle block determines the class; the normal
-    form puts every + before every - inside each block.
-    """
+
+@dataclass(frozen=True)
+class Decoration:
+    """What every tight structure on one L(p,q) shares: the decorated path,
+    its shuffle blocks, the edge vector (dnum, dden) = b - a that every
+    decorated edge a -> b of a block has in common, and the peak tb of the
+    two cores (k1, k2)."""
 
     p: int
     q: int
     path: tuple[Slope, ...]
     blocks: tuple[int, ...]
+    steps: tuple[tuple[int, int], ...]
+    peak_tb: tuple[Fraction, Fraction]
+
+
+def decoration(p: int, q: int) -> Decoration:
+    """The shared data of the tight structures on L(p,q).
+
+    Inside a block every edge vector is the same, since each inner vertex
+    is the unreduced mediant of its two neighbors (cross-determinant 2), so
+    a block's step is that of its first edge.  Decorated-path vertices carry
+    negative numerators and positive denominators, and the steps are taken
+    componentwise in that form.
+    """
+    path = tuple(decorated_path(p, q))
+    if any(v.num >= 0 for v in path[1:-1]):
+        raise ValueError("decorated-path vertices must be negative")
+    blocks = tuple(block_partition(path))
+    steps = []
+    first = 1  # decorated edges start at the second path edge
+    for size in blocks:
+        a, b = path[first], path[first + 1]
+        steps.append((b.num - a.num, b.den - a.den))
+        first += size
+    return Decoration(p, q, path, blocks, tuple(steps), peak_tb(p, q))
+
+
+@dataclass(frozen=True)
+class ShuffleClass:
+    """One isotopy class of tight contact structures on L(p,q).
+
+    The sign multiset per shuffle block determines the class; the normal
+    form puts every + before every - inside each block.  Every class of one
+    lens space references the same Decoration.
+    """
+
+    decoration: Decoration
     plus_counts: tuple[int, ...]
+
+    @property
+    def p(self) -> int:
+        return self.decoration.p
+
+    @property
+    def q(self) -> int:
+        return self.decoration.q
+
+    @property
+    def path(self) -> tuple[Slope, ...]:
+        return self.decoration.path
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        return self.decoration.blocks
 
     @property
     def signs(self) -> tuple[str, ...]:
@@ -75,31 +133,29 @@ class ShuffleClass:
 def enumerate_tight(p: int, q: int) -> list[ShuffleClass]:
     """All tight contact structures on L(p,q), one representative per
     shuffle class, in deterministic order."""
-    path = tuple(decorated_path(p, q))
-    blocks = tuple(block_partition(list(path)))
-    out = []
-    for plus_counts in itertools.product(*(range(b + 1) for b in blocks)):
-        out.append(ShuffleClass(p, q, path, blocks, plus_counts))
-    return out
+    d = decoration(p, q)
+    return [
+        ShuffleClass(d, plus_counts)
+        for plus_counts in itertools.product(*(range(b + 1) for b in d.blocks))
+    ]
 
 
 def class_from_signs(p: int, q: int, signs: str) -> ShuffleClass:
     """Shuffle class containing the decoration given as a +/- string, one
     character per decorated edge."""
-    path = tuple(decorated_path(p, q))
-    blocks = tuple(block_partition(list(path)))
-    if len(signs) != sum(blocks):
+    d = decoration(p, q)
+    if len(signs) != sum(d.blocks):
         raise ValueError(
-            f"L({p},{q}) has {sum(blocks)} decorated edges, got {len(signs)} signs"
+            f"L({p},{q}) has {sum(d.blocks)} decorated edges, got {len(signs)} signs"
         )
     if any(ch not in "+-" for ch in signs):
         raise ValueError("signs must be a string over '+' and '-'")
     plus_counts = []
     pos = 0
-    for size in blocks:
+    for size in d.blocks:
         plus_counts.append(signs[pos : pos + size].count("+"))
         pos += size
-    return ShuffleClass(p, q, path, blocks, tuple(plus_counts))
+    return ShuffleClass(d, tuple(plus_counts))
 
 
 def count_tight_lens(p: int, q: int) -> int:

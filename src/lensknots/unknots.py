@@ -8,14 +8,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .mcg import ORIENTED_KNOTS, unknot_classes
-from .slopes import dual_fraction, require_lens_pair
-from .tight import ShuffleClass
+from .surgery import KNOTS
+from .tight import ShuffleClass, peak_tb
 
 
 def _base_knot(knot: str) -> tuple[str, int]:
     if knot not in ORIENTED_KNOTS:
         raise ValueError(f"knot must be one of {ORIENTED_KNOTS}, got {knot!r}")
     return (knot.lstrip("-"), -1 if knot.startswith("-") else 1)
+
+
+def _peak(ts: ShuffleClass, knot: str) -> Fraction:
+    """tb_q_peak, read off the structure's shared Decoration."""
+    base, _ = _base_knot(knot)
+    return ts.decoration.peak_tb[KNOTS.index(base)]
 
 
 def _require_structure_on(p: int, q: int, ts: ShuffleClass) -> None:
@@ -27,39 +33,32 @@ def tb_q_peak(p: int, q: int, knot: str = "k1") -> Fraction:
     """Maximal rational Thurston-Bennequin number: -(p-q)/p for k1 and
     -(p-p')/p for k2, where p'/q' is the dual fraction of p/q."""
     base, _ = _base_knot(knot)
-    require_lens_pair(p, q)
-    if base == "k1":
-        return Fraction(-(p - q), p)
-    p_ = dual_fraction(p, q).num
-    return Fraction(-(p - p_), p)
+    return peak_tb(p, q)[KNOTS.index(base)]
 
 
 def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Rational rotation number of the peak Legendrian representative, as a
-    signed sum over the decorated edges of the structure's Farey path.
+    signed sum over the shuffle blocks of the structure's Farey path.
 
-    Each decorated edge contributes via the componentwise (unreduced)
-    difference of its endpoint fractions, taken with negative numerators and
-    positive denominators, paired against -p/q for k1 and against 0 for k2.
+    Every decorated edge of a block has the same edge vector (dnum, dden),
+    the componentwise difference of its endpoint fractions taken with
+    negative numerators and positive denominators.  Paired against -p/q for
+    k1 and against 0 for k2 it gives the block's weight w, and a block with
+    plus_b of its size_b signs positive contributes (2 plus_b - size_b) w.
     Structures without decorated edges contribute 0.
     """
     base, orient = _base_knot(knot)
-    path = ts.path
-    signs = ts.signs
-    p, q = ts.p, ts.q
+    d = ts.decoration
+    p, q = d.p, d.q
+    if len(ts.plus_counts) != len(d.blocks):
+        raise ValueError(f"{len(ts.plus_counts)} plus counts for {len(d.blocks)} blocks")
     total = 0
-    for j, sign in enumerate(signs):
-        i = j + 1  # decorated edges start at the second path edge
-        a, b = path[i], path[i + 1]
-        if a.num >= 0 or b.num >= 0:
-            raise ValueError("decorated-path vertices must be negative")
-        eps = 1 if sign == "+" else -1
-        if base == "k1":
-            # (a - b) componentwise, crossed with -p/q
-            total += eps * ((a.num - b.num) * q - (a.den - b.den) * (-p))
-        else:
-            # (b - a) componentwise, crossed with 0/1
-            total += eps * (b.num - a.num)
+    for size, plus, (dnum, dden) in zip(d.blocks, ts.plus_counts, d.steps):
+        if not 0 <= plus <= size:
+            raise ValueError(f"plus count {plus} outside 0..{size}")
+        # (a - b) crossed with -p/q for k1, (b - a) crossed with 0/1 for k2
+        weight = -dnum * q - dden * p if base == "k1" else dnum
+        total += (2 * plus - size) * weight
     return Fraction(orient * total, p)
 
 
@@ -95,8 +94,7 @@ def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[Legendri
     oriented rational unknot of unknot_classes(p, q)."""
     _require_structure_on(p, q, ts)
     return [
-        LegendrianClass(k, tb_q_peak(p, q, k), rot_q_farey(ts, k), ts)
-        for k in unknot_classes(p, q)
+        LegendrianClass(k, _peak(ts, k), rot_q_farey(ts, k), ts) for k in unknot_classes(p, q)
     ]
 
 
@@ -126,7 +124,7 @@ def mountain_range(
         raise ValueError("depth must be non-negative")
     _require_structure_on(p, q, ts)
     rot = rot_q_farey(ts, knot)
-    tb = tb_q_peak(p, q, knot)
+    tb = _peak(ts, knot)
     points = []
     for k in range(depth + 1):
         for r in range(-k, k + 1, 2):

@@ -170,5 +170,5 @@ def test_criterion_8_consistency_sweep():
     report = check_sweep(20)
     failed = [c for c in report.checks if not c.passed]
     assert not failed, [(c.name, c.counterexample) for c in failed]
-    assert len(report.checks) == 6
+    assert len(report.checks) == 7
     _report(8, "full consistency sweep, p <= 20, zero failures")

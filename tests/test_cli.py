@@ -149,7 +149,7 @@ def test_mcg_spot_values(capsys):
 def test_check_passes(capsys):
     code, out = run(capsys, "check", "--pmax", "6")
     assert code == 0
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "FAIL" not in out
 
 

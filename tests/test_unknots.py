@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from lensknots.checks import rot_q_edges
 from lensknots.slopes import dual_fraction
 from lensknots.surgery import rot_spectrum
-from lensknots.tight import class_from_signs, enumerate_tight
+from lensknots.tight import (
+    ShuffleClass,
+    class_from_signs,
+    decorated_path,
+    decoration,
+    enumerate_tight,
+)
 from lensknots.unknots import (
     legendrian_classification,
     mountain_range,
@@ -50,6 +57,12 @@ class TestPeakTb:
             p_ = dual_fraction(p, q).num
             assert tb_q_peak(p, q, "k2") == Fraction(-(p - p_), p)
 
+    def test_k2_peak_is_the_first_geodesic_step(self):
+        # The geodesic's first edge runs from -p/q to -(p-p')/(q-q'), so the
+        # dual fraction and the Farey path give the k2 peak independently.
+        for p, q in lens_pairs(150):
+            assert tb_q_peak(p, q, "k2") == Fraction(decorated_path(p, q)[1].num, p)
+
     def test_unknown_knot(self):
         with pytest.raises(ValueError):
             tb_q_peak(5, 2, "k3")
@@ -80,6 +93,32 @@ class TestRotation:
         for ts in enumerate_tight(12, 5):
             assert rot_q_farey(ts, "-k1") == -rot_q_farey(ts, "k1")
             assert rot_q_farey(ts, "-k2") == -rot_q_farey(ts, "k2")
+
+    def test_block_edge_vectors_are_constant(self):
+        for p, q in lens_pairs(120):
+            d = decoration(p, q)
+            first = 1
+            for size, step in zip(d.blocks, d.steps, strict=True):
+                for a, b in zip(d.path[first : first + size], d.path[first + 1 :]):
+                    assert (b.num - a.num, b.den - a.den) == step, f"L({p},{q})"
+                first += size
+            assert first == max(len(d.path) - 2, 1)
+
+    def test_block_sum_matches_edge_oracle(self):
+        for p, q in lens_pairs(60):
+            for ts in enumerate_tight(p, q):
+                for knot in ("k1", "-k1", "k2", "-k2"):
+                    assert rot_q_farey(ts, knot) == rot_q_edges(ts, knot), (p, q, ts, knot)
+
+    def test_rejects_plus_counts_that_do_not_fit_the_blocks(self):
+        d = decoration(9, 2)  # one block of three decorated edges
+        for plus_counts in [(), (1, 0), (4,), (-1,)]:
+            with pytest.raises(ValueError):
+                rot_q_farey(ShuffleClass(d, plus_counts), "k1")
+        d = decoration(12, 5)  # two singleton blocks
+        for plus_counts in [(1,), (1, 1, 0), (0, 2)]:
+            with pytest.raises(ValueError):
+                rot_q_farey(ShuffleClass(d, plus_counts), "k2")
 
     def test_matches_surgery_spectrum(self):
         for p, q in lens_pairs(16):
@@ -113,6 +152,12 @@ class TestClassification:
         for c in legendrian_classification(5, 2, ts):
             assert c.tb_q == tb_q_peak(5, 2, c.knot)
             assert c.sl_q == c.tb_q - c.rot_q
+
+    def test_tb_is_the_peak_for_every_class(self):
+        for p, q in lens_pairs(60):
+            for ts in enumerate_tight(p, q):
+                for c in legendrian_classification(p, q, ts):
+                    assert c.tb_q == tb_q_peak(p, q, c.knot), (p, q, c.knot)
 
     def test_transverse_values(self):
         ts = class_from_signs(5, 2, "-")
