@@ -2,23 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import farthest_neighbor
-from .slopes import Slope
+from .slopes import Slope, _Record, _set
 
 
-@dataclass(frozen=True)
-class TorusState:
+class TorusState(_Record):
     """A convex torus carrying num_dividing dividing curves of one slope."""
 
-    dividing_slope: Slope
-    num_dividing: int = 2
+    __slots__ = ("dividing_slope", "num_dividing")
 
-    def __post_init__(self):
-        if self.num_dividing < 2 or self.num_dividing % 2:
+    def __init__(self, dividing_slope: Slope, num_dividing: int = 2):
+        if num_dividing < 2 or num_dividing % 2:
             raise ValueError("number of dividing curves must be even and >= 2")
+        _set(self, "dividing_slope", dividing_slope)
+        _set(self, "num_dividing", num_dividing)
 
 
 def attach_bypass(state: TorusState, ruling: Slope, side: str = "front") -> TorusState:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
 from .mcg import ORIENTED_KNOTS, contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
-from .slopes import Slope
+from .slopes import Slope, _Record, _set
 from .surgery import KNOTS, build_chain, det_bareiss, linking_matrix, rot_spectrum
 from .tight import (
     ShuffleClass,
@@ -28,18 +27,22 @@ from .tight import (
 from .unknots import legendrian_classification, rot_q_farey
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    counterexample: str | None = None
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "counterexample")
+
+    def __init__(self, name: str, passed: bool, counterexample: str | None = None):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    p_max: int
-    checks: tuple[CheckResult, ...]
-    runtime: float
+class SweepReport(_Record):
+    __slots__ = ("p_max", "checks", "runtime")
+
+    def __init__(self, p_max: int, checks: tuple[CheckResult, ...], runtime: float):
+        _set(self, "p_max", p_max)
+        _set(self, "checks", checks)
+        _set(self, "runtime", runtime)
 
     @property
     def passed(self) -> bool:
@@ -59,38 +62,45 @@ def _check(name, failures):
 
 
 def check_sweep(p_max: int) -> SweepReport:
-    """Run the seven cross-module check families over all L(p,q), p <= p_max."""
+    """Run the seven cross-module check families over all L(p,q), p <= p_max.
+
+    The tight structures of each L(p,q) are enumerated once and shared by
+    the five families that read them."""
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     t0 = time.perf_counter()
+    tight = {(p, q): enumerate_tight(p, q) for p, q in lens_pairs(p_max)}
     checks = [
-        _check("tight-count formula vs enumeration", _count_failures(p_max)),
-        _check("geodesic vs BFS oracle", _geodesic_failures(p_max)),
-        _check("rotation numbers: Farey vs surgery", _rot_failures(p_max)),
-        _check("rotation numbers: blocks vs edges", _block_failures(p_max)),
-        _check("linking matrix determinant = p", _det_failures(p_max)),
-        _check("MCG divisibility and iso criterion", _mcg_failures(p_max)),
-        _check("universally tight counts", _univ_failures(p_max)),
+        _check("tight-count formula vs enumeration", _count_failures(tight)),
+        _check("geodesic vs BFS oracle", _geodesic_failures(tight)),
+        _check("rotation numbers: Farey vs surgery", _rot_failures(tight)),
+        _check("rotation numbers: blocks vs edges", _block_failures(tight)),
+        _check("linking matrix determinant = p", _det_failures(tight)),
+        _check("MCG divisibility and iso criterion", _mcg_failures(tight)),
+        _check("universally tight counts", _univ_failures(tight)),
     ]
     return SweepReport(p_max, tuple(checks), time.perf_counter() - t0)
 
 
-def _count_failures(p_max):
-    for p, q in lens_pairs(p_max):
-        if len(enumerate_tight(p, q)) != count_tight_lens(p, q):
+# Each family takes the {(p, q): enumerate_tight(p, q)} map of check_sweep,
+# in lens_pairs order, and yields its failures smallest first.
+
+
+def _count_failures(tight):
+    for (p, q), classes in tight.items():
+        if len(classes) != count_tight_lens(p, q):
             yield f"L({p},{q})"
 
 
-def _geodesic_failures(p_max):
-    for p, q in lens_pairs(p_max):
+def _geodesic_failures(tight):
+    for p, q in tight:
         frm, to = Slope(-p, q), Slope(0)
         if geodesic(frm, to) != bfs_oracle(frm, to, p):
             yield f"L({p},{q})"
 
 
-def _rot_failures(p_max):
-    for p, q in lens_pairs(p_max):
-        classes = enumerate_tight(p, q)
+def _rot_failures(tight):
+    for (p, q), classes in tight.items():
         for knot in KNOTS:
             farey_side = sorted(rot_q_farey(ts, knot) for ts in classes)
             if farey_side != rot_spectrum(p, q, knot):
@@ -128,9 +138,8 @@ def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     return -rot if knot.startswith("-") else rot
 
 
-def _block_failures(p_max):
-    for p, q in lens_pairs(p_max):
-        classes = enumerate_tight(p, q)
+def _block_failures(tight):
+    for (p, q), classes in tight.items():
         path = classes[0].path
         weights = {knot: _edge_weights(p, q, path, knot) for knot in KNOTS}
         blocks = block_partition(path)
@@ -145,15 +154,15 @@ def _block_failures(p_max):
                     yield f"L({p},{q}) class {i} {knot}"
 
 
-def _det_failures(p_max):
-    for p, q in lens_pairs(p_max):
+def _det_failures(tight):
+    for p, q in tight:
         for knot in KNOTS:
             if abs(det_bareiss(linking_matrix(build_chain(p, q, knot)))) != p:
                 yield f"L({p},{q}) {knot}"
 
 
-def _mcg_failures(p_max):
-    for p, q in lens_pairs(p_max):
+def _mcg_failures(tight):
+    for (p, q), classes in tight.items():
         c, s = contact_mcg(p, q), smooth_mcg(p, q)
         if s.order % c.order != 0:
             yield f"L({p},{q}) order divisibility"
@@ -162,13 +171,13 @@ def _mcg_failures(p_max):
         elif c.order > 1 and (q * q) % p != 1:
             yield f"L({p},{q}) sigma without q^2=1"
         elif len(unknot_classes(p, q)) != len(
-            legendrian_classification(p, q, enumerate_tight(p, q)[0])
+            legendrian_classification(p, q, classes[0])
         ):
             yield f"L({p},{q}) unknot count vs peak list"
 
 
-def _univ_failures(p_max):
-    for p, q in lens_pairs(p_max):
-        univ = sum(is_universally_tight(ts) for ts in enumerate_tight(p, q))
+def _univ_failures(tight):
+    for (p, q), classes in tight.items():
+        univ = sum(is_universally_tight(ts) for ts in classes)
         if univ != standard_structures(p, q):
             yield f"L({p},{q})"

@@ -83,18 +83,19 @@ def geodesic(start: Slope, stop: Slope) -> list[Slope]:
 
 
 def _neighbors_bounded(n: int, d: int, den_bound: int) -> list[tuple[int, int]]:
-    """All Farey neighbors of n/d with denominator <= den_bound (0 = inf)."""
-    s = Slope(n, d)
-    c, dd = neighbor_family(s)
+    """All Farey neighbors of the reduced n/d (d >= 0, 1/0 = inf) with
+    denominator <= den_bound, as reduced (num, den) pairs."""
+    _, x, y = _egcd(n, d)
+    c, dd = y, -x  # n*dd - d*c == -1, as in neighbor_family
     out = []
-    if s.den == 0:
+    if d == 0:
         # Neighbors of infinity are the integers.
         lo, hi = -(den_bound * den_bound), den_bound * den_bound
     else:
-        lo = _ceil_div(-den_bound - dd, s.den)
-        hi = (den_bound - dd) // s.den
+        lo = _ceil_div(-den_bound - dd, d)
+        hi = (den_bound - dd) // d
     for k in range(lo, hi + 1):
-        vn, vd = c + k * s.num, dd + k * s.den
+        vn, vd = c + k * n, dd + k * d
         if vd < 0:
             vn, vd = -vn, -vd
         elif vd == 0:
@@ -107,15 +108,18 @@ def _neighbors_bounded(n: int, d: int, den_bound: int) -> list[tuple[int, int]]:
 def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
     """Breadth-first shortest path from start to stop over the explicit
     Farey graph on slopes of denominator <= den_bound (plus inf), restricted
-    to the closed clockwise arc.  Test oracle; independent of geodesic()."""
+    to the closed clockwise arc.  Test oracle; independent of geodesic().
+
+    Vertices are (num, den) pairs; a candidate v is admissible when it is
+    stop or when start, v, stop sit in clockwise order, the in_arc test
+    written out on the pairs' cross-determinants."""
     if start == stop:
         raise ValueError("degenerate arc: endpoints coincide")
-
-    def admissible(v: Slope) -> bool:
-        return v == stop or in_arc(v, start, stop)
-
-    init = (start.num, start.den)
-    goal = (stop.num, stop.den)
+    sn, sd = start.num, start.den
+    tn, td = stop.num, stop.den
+    orient = tn * sd - td * sn  # farey_mul(stop, start)
+    init = (sn, sd)
+    goal = (tn, td)
     prev = {init: None}
     queue = deque([init])
     while queue:
@@ -128,7 +132,10 @@ def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
                 node = prev[node]
             return list(reversed(out))
         for nb in _neighbors_bounded(cur[0], cur[1], den_bound):
-            if nb not in prev and admissible(Slope(*nb)):
+            if nb in prev:
+                continue
+            n, d = nb
+            if nb == goal or (sn * d - sd * n) * (n * td - d * tn) * orient > 0:
                 prev[nb] = cur
                 queue.append(nb)
     raise ValueError(f"denominator bound {den_bound} too small to reach {stop}")

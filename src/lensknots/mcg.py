@@ -10,9 +10,8 @@ sphere Dehn twist and eta the point reflection on S^1 x S^2.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .slopes import q_is_minus_one, require_lens_pair
+from .slopes import _Record, _set, q_is_minus_one, require_lens_pair
 
 ORIENTED_KNOTS = ("k1", "-k1", "k2", "-k2")
 
@@ -20,23 +19,25 @@ ORIENTED_KNOTS = ("k1", "-k1", "k2", "-k2")
 _TAGS = {"trivial": (1, 0), "Z2": (2, 1), "Z2xZ2": (4, 2), "ZxZ2": (None, 2)}
 
 
-@dataclass(frozen=True)
-class GroupDescription:
+class GroupDescription(_Record):
     """A mapping class group answer: tag plus named generators.
 
     cont0_trivial is set on contact results and records that the subgroup
     of classes smoothly isotopic to the identity is trivial.
     """
 
-    tag: str
-    generators: tuple[str, ...] = ()
-    cont0_trivial: bool | None = None
+    __slots__ = ("tag", "generators", "cont0_trivial")
 
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown group tag {self.tag!r}")
-        if len(self.generators) != _TAGS[self.tag][1]:
-            raise ValueError(f"{self.tag} needs {_TAGS[self.tag][1]} generators")
+    def __init__(
+        self, tag: str, generators: tuple[str, ...] = (), cont0_trivial: bool | None = None
+    ):
+        if tag not in _TAGS:
+            raise ValueError(f"unknown group tag {tag!r}")
+        if len(generators) != _TAGS[tag][1]:
+            raise ValueError(f"{tag} needs {_TAGS[tag][1]} generators")
+        _set(self, "tag", tag)
+        _set(self, "generators", generators)
+        _set(self, "cont0_trivial", cont0_trivial)
 
     @property
     def order(self) -> int | None:

@@ -8,35 +8,84 @@ here ever touches a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Slope:
+
+class _Record:
+    """Shared dunders of the package's immutable value records.
+
+    A record lists its fields in __slots__ and sets them in its own
+    __init__ through object.__setattr__.  Records compare equal only to
+    records of the same class with equal fields, hash like the tuple of
+    their fields and refuse assignment and deletion.  Hand-written in place
+    of frozen dataclasses, whose import pulls in inspect and whose
+    decoration execs generated code, both on every CLI start-up.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Slope(_Record):
     """An extended rational number num/den in lowest terms.
 
     den == 0 encodes infinity, canonicalized as 1/0 (a -1/0 input is
     normalized away).  For finite slopes den > 0 and the sign lives on num.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        _set(self, "num", num)
+        _set(self, "den", den)
+        # Normalization stays a method looked up on the class:
+        # lkbench/layers.py wraps it to count Slope constructions.
+        self.__post_init__()
 
     def __post_init__(self):
         num, den = self.num, self.den
         if den == 0:
             if num == 0:
                 raise ValueError("0/0 is not a slope")
-            num = 1
-        else:
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(num, den)
-            if g > 1:
-                num, den = num // g, den // g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            _set(self, "num", 1)
+            return
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        if g != 1:
+            _set(self, "num", num // g)
+            _set(self, "den", den // g)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @property
     def is_infinite(self) -> bool:

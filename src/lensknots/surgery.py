@@ -10,30 +10,29 @@ integer elimination; no floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import Slope, cf_matrix_identity, neg_cf, require_lens_pair
+from .slopes import Slope, _Record, _set, cf_matrix_identity, neg_cf, require_lens_pair
 
 KNOTS = ("k1", "k2")
 
 
-@dataclass(frozen=True)
-class SurgeryChain:
+class SurgeryChain(_Record):
     """Chain of unknot surgery components with integer framings <= -2.
 
     Component i sits at tb = framings[i] + 1; the meridian that realizes
     the rational unknot links the first component (k1) or the last (k2).
     """
 
-    framings: tuple[int, ...]
-    meridian_of: str = "first"
+    __slots__ = ("framings", "meridian_of")
 
-    def __post_init__(self):
-        if any(r > -2 for r in self.framings):
+    def __init__(self, framings: tuple[int, ...], meridian_of: str = "first"):
+        if any(r > -2 for r in framings):
             raise ValueError("chain framings must be <= -2")
-        if self.meridian_of not in ("first", "last"):
+        if meridian_of not in ("first", "last"):
             raise ValueError("meridian_of must be 'first' or 'last'")
+        _set(self, "framings", framings)
+        _set(self, "meridian_of", meridian_of)
 
 
 def build_chain(p: int, q: int, knot: str = "k1") -> SurgeryChain:

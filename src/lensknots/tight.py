@@ -8,11 +8,19 @@ signs within blocks of mutually shuffleable edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import geodesic
-from .slopes import Slope, dual_fraction, farey_mul, neg_cf, q_is_minus_one, require_lens_pair
+from .slopes import (
+    Slope,
+    _Record,
+    _set,
+    dual_fraction,
+    farey_mul,
+    neg_cf,
+    q_is_minus_one,
+    require_lens_pair,
+)
 
 
 def decorated_path(p: int, q: int) -> list[Slope]:
@@ -53,19 +61,29 @@ def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
     return Fraction(q - p, p), Fraction(dual_fraction(p, q).num - p, p)
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(_Record):
     """What every tight structure on one L(p,q) shares: the decorated path,
     its shuffle blocks, the edge vector (dnum, dden) = b - a that every
     decorated edge a -> b of a block has in common, and the peak tb of the
     two cores (k1, k2)."""
 
-    p: int
-    q: int
-    path: tuple[Slope, ...]
-    blocks: tuple[int, ...]
-    steps: tuple[tuple[int, int], ...]
-    peak_tb: tuple[Fraction, Fraction]
+    __slots__ = ("p", "q", "path", "blocks", "steps", "peak_tb")
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        path: tuple[Slope, ...],
+        blocks: tuple[int, ...],
+        steps: tuple[tuple[int, int], ...],
+        peak_tb: tuple[Fraction, Fraction],
+    ):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "path", path)
+        _set(self, "blocks", blocks)
+        _set(self, "steps", steps)
+        _set(self, "peak_tb", peak_tb)
 
 
 def decoration(p: int, q: int) -> Decoration:
@@ -90,17 +108,26 @@ def decoration(p: int, q: int) -> Decoration:
     return Decoration(p, q, path, blocks, tuple(steps), peak_tb(p, q))
 
 
-@dataclass(frozen=True)
-class ShuffleClass:
+class ShuffleClass(_Record):
     """One isotopy class of tight contact structures on L(p,q).
 
     The sign multiset per shuffle block determines the class; the normal
     form puts every + before every - inside each block.  Every class of one
-    lens space references the same Decoration.
+    lens space references the same Decoration, and a class is built only
+    with one plus count in 0..size per block.
     """
 
-    decoration: Decoration
-    plus_counts: tuple[int, ...]
+    __slots__ = ("decoration", "plus_counts")
+
+    def __init__(self, decoration: Decoration, plus_counts: tuple[int, ...]):
+        blocks = decoration.blocks
+        if len(plus_counts) != len(blocks):
+            raise ValueError(f"{len(plus_counts)} plus counts for {len(blocks)} blocks")
+        for size, plus in zip(blocks, plus_counts):
+            if not 0 <= plus <= size:
+                raise ValueError(f"plus count {plus} outside 0..{size}")
+        _set(self, "decoration", decoration)
+        _set(self, "plus_counts", plus_counts)
 
     @property
     def p(self) -> int:

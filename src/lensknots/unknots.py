@@ -4,10 +4,10 @@ stabilization lattices and mountain ranges."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .mcg import ORIENTED_KNOTS, unknot_classes
+from .slopes import _Record, _set
 from .surgery import KNOTS
 from .tight import ShuffleClass, peak_tb
 
@@ -50,12 +50,8 @@ def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     base, orient = _base_knot(knot)
     d = ts.decoration
     p, q = d.p, d.q
-    if len(ts.plus_counts) != len(d.blocks):
-        raise ValueError(f"{len(ts.plus_counts)} plus counts for {len(d.blocks)} blocks")
     total = 0
     for size, plus, (dnum, dden) in zip(d.blocks, ts.plus_counts, d.steps):
-        if not 0 <= plus <= size:
-            raise ValueError(f"plus count {plus} outside 0..{size}")
         # (a - b) crossed with -p/q for k1, (b - a) crossed with 0/1 for k2
         weight = -dnum * q - dden * p if base == "k1" else dnum
         total += (2 * plus - size) * weight
@@ -67,14 +63,16 @@ def sl_q(tb_q: Fraction, rot_q: Fraction) -> Fraction:
     return tb_q - rot_q
 
 
-@dataclass(frozen=True)
-class LegendrianClass:
+class LegendrianClass(_Record):
     """An oriented Legendrian rational unknot with its exact invariants."""
 
-    knot: str
-    tb_q: Fraction
-    rot_q: Fraction
-    structure: ShuffleClass
+    __slots__ = ("knot", "tb_q", "rot_q", "structure")
+
+    def __init__(self, knot: str, tb_q: Fraction, rot_q: Fraction, structure: ShuffleClass):
+        _set(self, "knot", knot)
+        _set(self, "tb_q", tb_q)
+        _set(self, "rot_q", rot_q)
+        _set(self, "structure", structure)
 
     @property
     def sl_q(self) -> Fraction:
@@ -86,7 +84,7 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
     if sign not in ("+", "-"):
         raise ValueError("stabilization sign must be '+' or '-'")
     shift = 1 if sign == "+" else -1
-    return replace(c, tb_q=c.tb_q - 1, rot_q=c.rot_q + shift)
+    return LegendrianClass(c.knot, c.tb_q - 1, c.rot_q + shift, c.structure)
 
 
 def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
@@ -104,15 +102,23 @@ def transverse_classification(p: int, q: int, ts: ShuffleClass) -> list[Fraction
     return [c.sl_q for c in legendrian_classification(p, q, ts)]
 
 
-@dataclass(frozen=True)
-class MountainRange:
+class MountainRange(_Record):
     """The (rot_q, tb_q) dots realized by one oriented unknot down to a
     stabilization depth cutoff."""
 
-    knot: str
-    peak: tuple[Fraction, Fraction]
-    depth: int
-    points: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("knot", "peak", "depth", "points")
+
+    def __init__(
+        self,
+        knot: str,
+        peak: tuple[Fraction, Fraction],
+        depth: int,
+        points: tuple[tuple[Fraction, Fraction], ...],
+    ):
+        _set(self, "knot", knot)
+        _set(self, "peak", peak)
+        _set(self, "depth", depth)
+        _set(self, "points", points)
 
 
 def mountain_range(

@@ -28,6 +28,19 @@ def test_sweep_small():
     assert report.runtime > 0
 
 
+def test_sweep_enumerates_each_lens_space_once(monkeypatch):
+    calls = []
+    enumerate_tight = checks.enumerate_tight
+
+    def counted(p, q):
+        calls.append((p, q))
+        return enumerate_tight(p, q)
+
+    monkeypatch.setattr(checks, "enumerate_tight", counted)
+    assert check_sweep(12).passed
+    assert calls == list(lens_pairs(12))
+
+
 def test_sweep_rejects_tiny_bound():
     with pytest.raises(ValueError):
         check_sweep(1)

@@ -122,6 +122,16 @@ class TestGeodesic:
                 frm = Slope(-p, q)
                 assert geodesic(frm, ZERO) == bfs_oracle(frm, ZERO, p)
 
+    def test_matches_bfs_oracle_on_every_arc(self):
+        # Every ordered pair of slopes with |num| <= 6 and den <= 4, so arcs
+        # through infinity and arcs ending away from 0 are covered.
+        slopes = {Slope(n, d) for n in range(-6, 7) for d in range(5) if (n, d) != (0, 0)}
+        for start in slopes:
+            for stop in slopes - {start}:
+                path = geodesic(start, stop)
+                bound = max(max(v.den, abs(v.num)) for v in path)
+                assert bfs_oracle(start, stop, bound) == path, (start, stop)
+
     @settings(max_examples=60)
     @given(st.integers(2, 40), st.integers(1, 39))
     def test_against_oracle_random(self, p, q):

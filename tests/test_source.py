@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -14,6 +17,33 @@ def test_library_has_no_assert():
             if isinstance(node, ast.Assert):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def test_library_does_not_import_dataclasses():
+    """Records are hand-written: importing dataclasses loads inspect (and with
+    it ast, dis and tokenize), which every CLI call would pay at start-up."""
+    hits = []
+    for path in sorted(Path(lensknots.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(lensknots.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lensknots.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_all_lists_the_public_names():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -7,15 +8,18 @@ from hypothesis import strategies as st
 
 from lensknots.slopes import Slope
 from lensknots.tight import (
+    ShuffleClass,
     block_partition,
     class_from_signs,
     count_tight_lens,
     count_tight_solid,
     decorated_path,
+    decoration,
     enumerate_tight,
     is_universally_tight,
     standard_structures,
 )
+from lensknots.unknots import rot_q_farey
 
 
 def lens_pairs(p_max):
@@ -95,6 +99,46 @@ class TestClassFromSigns:
             class_from_signs(9, 2, "+-")
         with pytest.raises(ValueError):
             class_from_signs(9, 2, "+0-")
+
+
+# (p, q), plus counts, and the error: L(9,2) has one block of three decorated
+# edges, L(12,5) two singleton blocks.
+MISFITS = [
+    ((9, 2), (5,), "plus count 5 outside 0..3"),
+    ((9, 2), (-1,), "plus count -1 outside 0..3"),
+    ((9, 2), (), "0 plus counts for 1 blocks"),
+    ((9, 2), (1, 0), "2 plus counts for 1 blocks"),
+    ((12, 5), (1,), "1 plus counts for 2 blocks"),
+    ((12, 5), (1, 1, 0), "3 plus counts for 2 blocks"),
+    ((12, 5), (0, 2), "plus count 2 outside 0..1"),
+]
+
+
+class TestShuffleClass:
+    @pytest.mark.parametrize("pq,plus_counts,message", MISFITS)
+    def test_rejects_plus_counts_that_do_not_fit(self, pq, plus_counts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ShuffleClass(decoration(*pq), plus_counts)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda ts: ts.sign_string,
+            is_universally_tight,
+            lambda ts: rot_q_farey(ts, "k1"),
+            lambda ts: rot_q_farey(ts, "-k2"),
+        ],
+        ids=["sign_string", "is_universally_tight", "rot_q_farey k1", "rot_q_farey -k2"],
+    )
+    def test_no_reader_sees_a_misfitting_class(self, read):
+        for pq, plus_counts, _ in MISFITS:
+            with pytest.raises(ValueError):
+                read(ShuffleClass(decoration(*pq), plus_counts))
+
+    def test_every_fitting_count_builds(self):
+        d = decoration(12, 5)
+        classes = [ShuffleClass(d, pc) for pc in itertools.product(range(2), range(2))]
+        assert classes == enumerate_tight(12, 5)
 
 
 class TestSolidTorus:
