@@ -115,25 +115,40 @@ def cmd_unknots(args) -> int:
     return 0
 
 
-def _mountain_svg(mr) -> str:
+def _distinct(column) -> dict:
+    """{id(v): v} over one coordinate column of a mountain range's points.
+
+    mountain_range builds each distinct rot and tb value once and its
+    points share them, so N points hold O(sqrt N) objects.  The range
+    outlives every use of the result, so no id is reused meanwhile."""
+    return {id(v): v for v in column}
+
+
+def _render(column, render) -> list[str]:
+    """[render(v) for v in column], with render called once per distinct
+    object of the column."""
+    names = {key: render(v) for key, v in _distinct(column).items()}
+    return [names[id(v)] for v in column]
+
+
+def _mountain_svg(rots, tbs) -> str:
     unit = 30  # pixels per rot and per tb unit, keeping the grid square
-    rots = [p[0] for p in mr.points]
-    tbs = [p[1] for p in mr.points]
     pad = 1
-    x0, x1 = min(rots) - pad, max(rots) + pad
-    y0, y1 = min(tbs) - pad, max(tbs) + pad
+    xs, ys = _distinct(rots).values(), _distinct(tbs).values()
+    x0, x1 = min(xs) - pad, max(xs) + pad
+    y0, y1 = min(ys) - pad, max(ys) + pad
     width = int((x1 - x0) * unit)
     height = int((y1 - y0) * unit)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
-    for rot, tb in mr.points:
-        cx = float((rot - x0) * unit)
-        cy = float((y1 - tb) * unit)
-        lines.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="4" fill="black"/>')
-    lines.append("</svg>")
-    return "\n".join(lines)
+    cxs = _render(rots, lambda rot: f"{float((rot - x0) * unit):.1f}")
+    cys = _render(tbs, lambda tb: f"{float((y1 - tb) * unit):.1f}")
+    return "\n".join(
+        [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            *map('<circle cx="{}" cy="{}" r="4" fill="black"/>'.format, cxs, cys),
+            "</svg>",
+        ]
+    )
 
 
 def cmd_mountain(args) -> int:
@@ -141,23 +156,21 @@ def cmd_mountain(args) -> int:
     if len(classes) != 1:
         raise ValueError("ambiguous tight structure; pass --structure SIGNS")
     mr = mountain_range(args.p, args.q, classes[0], args.knot, args.depth)
+    rots = [r for r, _ in mr.points]
+    tbs = [t for _, t in mr.points]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "knot": mr.knot,
-                    "peak": [str(mr.peak[0]), str(mr.peak[1])],
-                    "depth": mr.depth,
-                    "points": [[str(r), str(t)] for r, t in mr.points],
-                }
-            )
-        )
+        payload = {
+            "knot": mr.knot,
+            "peak": [str(mr.peak[0]), str(mr.peak[1])],
+            "depth": mr.depth,
+            "points": list(map(list, zip(_render(rots, str), _render(tbs, str)))),
+        }
+        sys.stdout.write(json.dumps(payload) + "\n")
     elif args.format == "svg":
-        print(_mountain_svg(mr))
+        sys.stdout.write(_mountain_svg(rots, tbs) + "\n")
     else:
-        print("rot_q\ttb_q")
-        for r, t in mr.points:
-            print(f"{r}\t{t}")
+        rows = map("{}\t{}\n".format, _render(rots, str), _render(tbs, str))
+        sys.stdout.write("rot_q\ttb_q\n" + "".join(rows))
     return 0
 
 
@@ -223,23 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_surg = sub.add_parser("surgery", help="chain surgery presentation")
     p_surg.add_argument("p", type=int)
     p_surg.add_argument("q", type=int)
-    p_surg.add_argument("--knot", choices=KNOTS, default="k1")
-    p_surg.add_argument("--rots", help="comma-separated rotation numbers")
+    p_surg.add_argument("--knot", type=str.strip, choices=KNOTS, default="k1")
+    p_surg.add_argument("--rots", type=str.strip, help="comma-separated rotation numbers")
     p_surg.add_argument("--format", choices=["json", "tsv"], default="tsv")
     p_surg.set_defaults(func=cmd_surgery)
 
     p_unk = sub.add_parser("unknots", help="Legendrian rational unknot invariants")
     p_unk.add_argument("p", type=int)
     p_unk.add_argument("q", type=int)
-    p_unk.add_argument("--structure", metavar="SIGNS")
+    p_unk.add_argument("--structure", type=str.strip, metavar="SIGNS")
     p_unk.add_argument("--format", choices=["json", "tsv"], default="tsv")
     p_unk.set_defaults(func=cmd_unknots)
 
     p_mr = sub.add_parser("mountain-range", help="Legendrian mountain range")
     p_mr.add_argument("p", type=int)
     p_mr.add_argument("q", type=int)
-    p_mr.add_argument("--knot", choices=mcg_mod.ORIENTED_KNOTS, default="k1")
-    p_mr.add_argument("--structure", metavar="SIGNS")
+    p_mr.add_argument("--knot", type=str.strip, choices=mcg_mod.ORIENTED_KNOTS, default="k1")
+    p_mr.add_argument("--structure", type=str.strip, metavar="SIGNS")
     p_mr.add_argument("--depth", type=int, default=4)
     p_mr.add_argument("--format", choices=["tsv", "json", "svg"], default="tsv")
     p_mr.set_defaults(func=cmd_mountain)
@@ -260,16 +273,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NEG_SLOPE = re.compile(r"-(\d|inf$)")
+# Options whose value may start with "-": a knot such as -k1, a sign string
+# such as -+ or --, a rotation list such as -1,0,1.
+_DASH_VALUE_OPTIONS = ("--knot", "--structure", "--rots")
+_FLAG = re.compile(r"--?[a-z][a-z-]*")
+
+
+def _protect_values(argv: list[str]) -> list[str]:
+    """Pad with a space every token that argparse would take for an option
+    but that is a value: a negative number, slope or comma list anywhere,
+    and any token after --knot, --structure or --rots that starts with "-"
+    and is not spelled like a flag.  Slope.parse, int and the str.strip type
+    of those three options remove the space again."""
+    return [
+        " " + a
+        if _NEG_SLOPE.match(a)
+        or (prev in _DASH_VALUE_OPTIONS and a.startswith("-") and not _FLAG.fullmatch(a))
+        else a
+        for prev, a in zip([None, *argv], argv)
+    ]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # Pad negative numbers, slopes and comma lists so argparse does not mistake
-    # them for options; Slope.parse and int strip the space again.
-    argv = [" " + a if _NEG_SLOPE.match(a) else a for a in argv]
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_protect_values(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -82,15 +82,17 @@ def geodesic(start: Slope, stop: Slope) -> list[Slope]:
     return path
 
 
-def _neighbors_bounded(n: int, d: int, den_bound: int) -> list[tuple[int, int]]:
-    """All Farey neighbors of the reduced n/d (d >= 0, 1/0 = inf) with
-    denominator <= den_bound, as reduced (num, den) pairs."""
+def _neighbors_bounded(n: int, d: int, den_bound: int, value_bound: int) -> list[tuple[int, int]]:
+    """The Farey neighbors v of the reduced n/d (d >= 0, 1/0 = inf) with
+    denominator <= den_bound and |v| <= value_bound, inf always included,
+    as reduced (num, den) pairs.  For inf these are the integers k with
+    |k| <= value_bound (when den_bound >= 1)."""
     _, x, y = _egcd(n, d)
     c, dd = y, -x  # n*dd - d*c == -1, as in neighbor_family
     out = []
     if d == 0:
         # Neighbors of infinity are the integers.
-        lo, hi = -(den_bound * den_bound), den_bound * den_bound
+        lo, hi = -value_bound, value_bound
     else:
         lo = _ceil_div(-den_bound - dd, d)
         hi = (den_bound - dd) // d
@@ -100,15 +102,22 @@ def _neighbors_bounded(n: int, d: int, den_bound: int) -> list[tuple[int, int]]:
             vn, vd = -vn, -vd
         elif vd == 0:
             vn = 1
-        if vd <= den_bound:
+        if vd <= den_bound and (vd == 0 or abs(vn) <= value_bound * vd):
             out.append((vn, vd))
     return out
 
 
 def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
     """Breadth-first shortest path from start to stop over the explicit
-    Farey graph on slopes of denominator <= den_bound (plus inf), restricted
-    to the closed clockwise arc.  Test oracle; independent of geodesic().
+    Farey graph on inf and the slopes of denominator <= den_bound and
+    absolute value <= m, the larger endpoint numerator in absolute value,
+    restricted to the closed clockwise arc.  Test oracle; independent of
+    geodesic().
+
+    No shortest path leaves that range: in an arc that avoids inf it stays
+    between the endpoints, and through inf it meets the integers next to
+    an endpoint, at most m in absolute value.  The graph is finite, so the
+    search ends even when stop is out of reach.
 
     Vertices are (num, den) pairs; a candidate v is admissible when it is
     stop or when start, v, stop sit in clockwise order, the in_arc test
@@ -118,6 +127,7 @@ def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
     sn, sd = start.num, start.den
     tn, td = stop.num, stop.den
     orient = tn * sd - td * sn  # farey_mul(stop, start)
+    value_bound = max(abs(sn), abs(tn))
     init = (sn, sd)
     goal = (tn, td)
     prev = {init: None}
@@ -131,7 +141,7 @@ def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
                 out.append(Slope(*node))
                 node = prev[node]
             return list(reversed(out))
-        for nb in _neighbors_bounded(cur[0], cur[1], den_bound):
+        for nb in _neighbors_bounded(cur[0], cur[1], den_bound, value_bound):
             if nb in prev:
                 continue
             n, d = nb

@@ -163,19 +163,19 @@ def neg_cf(x: Slope, form: str = "lens") -> list[int]:
         raise ValueError(f"unknown form {form!r}")
     if x.is_infinite:
         raise ValueError("cannot expand an infinite slope")
-    v = x.as_fraction()
-    if form == "lens" and v >= -1:
+    num, den = x.num, x.den  # den > 0, so num/den >= -1 iff num >= -den
+    if form == "lens" and num >= -den:
         raise ValueError(f"lens-form expansion needs x < -1, got {x}")
-    if form == "solid" and v > -1:
+    if form == "solid" and num > -den:
         raise ValueError(f"solid-form expansion needs x <= -1, got {x}")
     coeffs = []
     while True:
-        r = v.numerator // v.denominator
+        r, rem = divmod(num, den)
         coeffs.append(r)
-        if v == r:
-            break
-        v = Fraction(-1) / (v - r)
-    return coeffs
+        if rem == 0:
+            return coeffs
+        # x - r = rem/den lies in (0, 1); the expansion goes on with -1/(x - r).
+        num, den = -den, rem
 
 
 def eval_neg_cf(coeffs: list[int]) -> Slope:

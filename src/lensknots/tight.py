@@ -204,9 +204,9 @@ def count_tight_solid(slope: Slope) -> int:
     """
     if slope.is_infinite:
         raise ValueError("dividing slope must be finite")
-    t = slope.as_fraction()
-    k = -(t.numerator // t.denominator) - 1  # t + k in [-1, 0)
-    coeffs = neg_cf(Slope.from_fraction(Fraction(1) / (t + k)), form="solid")
+    num, den = slope.num, slope.den
+    k = -(num // den) - 1  # slope + k = (num + k*den)/den lies in [-1, 0)
+    coeffs = neg_cf(Slope(den, num + k * den), form="solid")
     count = abs(coeffs[-1])
     for r in coeffs[:-1]:
         count *= abs(r + 1)

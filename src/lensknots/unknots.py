@@ -36,26 +36,34 @@ def tb_q_peak(p: int, q: int, knot: str = "k1") -> Fraction:
     return peak_tb(p, q)[KNOTS.index(base)]
 
 
-def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
-    """Rational rotation number of the peak Legendrian representative, as a
-    signed sum over the shuffle blocks of the structure's Farey path.
+def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
+    """p times rot_Q of the peak k1 and of the peak k2 in the structure,
+    in one pass over the shuffle blocks of its Farey path.
 
     Every decorated edge of a block has the same edge vector (dnum, dden),
     the componentwise difference of its endpoint fractions taken with
     negative numerators and positive denominators.  Paired against -p/q for
     k1 and against 0 for k2 it gives the block's weight w, and a block with
     plus_b of its size_b signs positive contributes (2 plus_b - size_b) w.
-    Structures without decorated edges contribute 0.
+    Both pairings are linear, so the signed edge vectors are summed first.
+    Structures without decorated edges give 0.
     """
-    base, orient = _base_knot(knot)
     d = ts.decoration
-    p, q = d.p, d.q
-    total = 0
+    snum = sden = 0
     for size, plus, (dnum, dden) in zip(d.blocks, ts.plus_counts, d.steps):
-        # (a - b) crossed with -p/q for k1, (b - a) crossed with 0/1 for k2
-        weight = -dnum * q - dden * p if base == "k1" else dnum
-        total += (2 * plus - size) * weight
-    return Fraction(orient * total, p)
+        signed = 2 * plus - size
+        snum += signed * dnum
+        sden += signed * dden
+    # (a - b) crossed with -p/q for k1, (b - a) crossed with 0/1 for k2
+    return -snum * d.q - sden * d.p, snum
+
+
+def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
+    """Rational rotation number of the peak Legendrian representative, as a
+    signed sum over the shuffle blocks of the structure's Farey path;
+    reversing the orientation negates it."""
+    base, orient = _base_knot(knot)
+    return Fraction(orient * _block_sums(ts)[KNOTS.index(base)], ts.decoration.p)
 
 
 def sl_q(tb_q: Fraction, rot_q: Fraction) -> Fraction:
@@ -89,11 +97,22 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
 
 def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
     """Peak Legendrian representatives in the given tight structure, one per
-    oriented rational unknot of unknot_classes(p, q)."""
+    oriented rational unknot of unknot_classes(p, q).
+
+    The block sums run once per structure; a reversed knot shares the tb
+    of its base knot and negates its rot."""
     _require_structure_on(p, q, ts)
-    return [
-        LegendrianClass(k, _peak(ts, k), rot_q_farey(ts, k), ts) for k in unknot_classes(p, q)
-    ]
+    sums = _block_sums(ts)
+    peaks = {}  # base knot -> (tb_q, rot_q)
+    out = []
+    for knot in unknot_classes(p, q):
+        base = knot.lstrip("-")
+        if base not in peaks:
+            i = KNOTS.index(base)
+            peaks[base] = (ts.decoration.peak_tb[i], Fraction(sums[i], p))
+        tb, rot = peaks[base]
+        out.append(LegendrianClass(knot, tb, rot if knot == base else -rot, ts))
+    return out
 
 
 def transverse_classification(p: int, q: int, ts: ShuffleClass) -> list[Fraction]:
@@ -131,8 +150,11 @@ def mountain_range(
     _require_structure_on(p, q, ts)
     rot = rot_q_farey(ts, knot)
     tb = _peak(ts, knot)
+    # The depth + 1 rows share 2 depth + 1 rot values and depth + 1 tb
+    # values; row k takes every other rot from rot - k to rot + k.
+    rots = [rot + r for r in range(-depth, depth + 1)]
     points = []
     for k in range(depth + 1):
-        for r in range(-k, k + 1, 2):
-            points.append((rot + r, tb - k))
+        row_tb = tb - k
+        points += [(r, row_tb) for r in rots[depth - k : depth + k + 1 : 2]]
     return MountainRange(knot, (rot, tb), depth, tuple(points))

@@ -69,3 +69,33 @@ def test_block_family_catches_a_block_with_two_weights(monkeypatch):
 
     monkeypatch.setattr(checks, "block_partition", merged)
     assert _failures(12) == {"rotation numbers: blocks vs edges": "L(8,3) k1 block weights"}
+
+
+def test_det_family_runs_one_bareiss_per_lens_space(monkeypatch):
+    calls = []
+    det_bareiss = checks.det_bareiss
+
+    def counted(m):
+        calls.append(len(m))
+        return det_bareiss(m)
+
+    monkeypatch.setattr(checks, "det_bareiss", counted)
+    assert check_sweep(9).passed
+    assert len(calls) == len(list(lens_pairs(9)))
+
+
+def test_det_family_checks_each_knot(monkeypatch):
+    # A wrong determinant fails both knots; a k2 matrix that differs from
+    # k1's gets its own determinant.
+    monkeypatch.setattr(checks, "det_bareiss", lambda m: 0)
+    assert _failures(4)["linking matrix determinant = p"] == "L(2,1) k1"
+    assert list(checks._det_failures({(5, 2): []})) == ["L(5,2) k1", "L(5,2) k2"]
+    monkeypatch.undo()
+    linking_matrix = checks.linking_matrix
+
+    def doubled_k2(chain):
+        m = linking_matrix(chain)
+        return m if chain.meridian_of == "first" else tuple(tuple(2 * v for v in row) for row in m)
+
+    monkeypatch.setattr(checks, "linking_matrix", doubled_k2)
+    assert list(checks._det_failures({(5, 2): [], (7, 3): []})) == ["L(5,2) k2", "L(7,3) k2"]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from lensknots.checks import lens_pairs
 from lensknots.cli import main
 from lensknots.slopes import Slope
-from lensknots.tight import enumerate_tight
-from lensknots.unknots import legendrian_classification
+from lensknots.tight import class_from_signs, enumerate_tight
+from lensknots.unknots import legendrian_classification, mountain_range
 
 
 def run(capsys, *argv):
@@ -69,6 +69,41 @@ def test_surgery_rots_list_may_start_with_minus(capsys):
     spaced = run(capsys, "surgery", "12", "5", "--rots", "-1,0,1")
     assert spaced == run(capsys, "surgery", "12", "5", "--rots=-1,0,1")
     assert spaced[0] == 0 and "rot_q\t" in spaced[1]
+
+
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (
+            ["mountain-range", "3", "1", "--structure", "+", "--knot", "-k1"],
+            ["mountain-range", "3", "1", "--structure", "+", "--knot=-k1"],
+        ),
+        (["unknots", "12", "5", "--structure", "-+"], ["unknots", "12", "5", "--structure=-+"]),
+        (
+            ["mountain-range", "12", "5", "--structure", "--", "--knot", "-k2", "--format", "json"],
+            ["mountain-range", "12", "5", "--structure=--", "--knot=-k2", "--format", "json"],
+        ),
+        (["surgery", "12", "5", "--rots", "-1,0,1"], ["surgery", "12", "5", "--rots=-1,0,1"]),
+    ],
+)
+def test_values_may_start_with_minus(spaced, joined):
+    code, out, err = run_captured(spaced)
+    assert (code, err) == (0, "")
+    if "--structure=--" not in joined:  # argparse drops a bare "--" value
+        assert (code, out, err) == run_captured(joined)
+    assert out
+
+
+def test_structure_of_minus_signs(capsys):
+    code, out = run(capsys, "unknots", "12", "5", "--structure", "--")
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()[1:]] == ["--"] * 4
+
+
+def test_a_flag_after_a_value_option_is_still_a_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["unknots", "12", "5", "--structure", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_unknots_tsv(capsys):
@@ -132,6 +167,43 @@ def test_mountain_range_svg(capsys):
     assert code == 0
     assert out.startswith("<svg")
     assert out.count("<circle") == 3
+
+
+def _per_point_rendering(mr, fmt):
+    """The mountain-range output rendered point by point."""
+    if fmt == "tsv":
+        return "rot_q\ttb_q\n" + "".join(f"{r}\t{t}\n" for r, t in mr.points)
+    if fmt == "json":
+        payload = {
+            "knot": mr.knot,
+            "peak": [str(mr.peak[0]), str(mr.peak[1])],
+            "depth": mr.depth,
+            "points": [[str(r), str(t)] for r, t in mr.points],
+        }
+        return json.dumps(payload) + "\n"
+    x0 = min(r for r, _ in mr.points) - 1
+    x1 = max(r for r, _ in mr.points) + 1
+    y0 = min(t for _, t in mr.points) - 1
+    y1 = max(t for _, t in mr.points) + 1
+    width, height = int((x1 - x0) * 30), int((y1 - y0) * 30)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    ]
+    for r, t in mr.points:
+        cx, cy = float((r - x0) * 30), float((y1 - t) * 30)
+        lines.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="4" fill="black"/>')
+    return "\n".join(lines + ["</svg>"]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "svg"])
+@pytest.mark.parametrize("p,q,signs,knot", [(12, 5, "-+", "-k2"), (7, 2, "++", "k1"), (2, 1, "", "k1")])
+def test_mountain_range_output_matches_per_point_rendering(fmt, p, q, signs, knot):
+    argv = ["mountain-range", str(p), str(q), f"--knot={knot}", "--depth", "12", "--format", fmt]
+    code, out, err = run_captured(argv + ([f"--structure={signs}"] if signs else []))
+    assert (code, err) == (0, "")
+    mr = mountain_range(p, q, class_from_signs(p, q, signs), knot, 12)
+    assert out == _per_point_rendering(mr, fmt)
 
 
 def test_mcg_spot_values(capsys):

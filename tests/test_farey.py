@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensknots.farey import (
+    _neighbors_bounded,
     bfs_oracle,
     farthest_neighbor,
     geodesic,
@@ -139,6 +140,25 @@ class TestGeodesic:
             return
         frm = Slope(-p, q)
         assert geodesic(frm, ZERO) == bfs_oracle(frm, ZERO, p)
+
+
+def test_bfs_oracle_at_infinity():
+    # Arcs with one end at inf, at the smallest bound holding both ends.
+    ends = {Slope(n, d) for n in range(-40, 41) for d in range(1, 5)}
+    for s in ends:
+        for start, stop in ((INFINITY, s), (s, INFINITY)):
+            assert bfs_oracle(start, stop, s.den) == geodesic(start, stop), (start, stop)
+    assert bfs_oracle(INFINITY, Slope(-6), 1) == [INFINITY, Slope(-6)]
+
+
+def test_neighbors_bounded_lists_what_it_states():
+    # inf: the integers up to the value bound.  3: inf, 2 and 4 have
+    # denominator <= 1, and value bound 3 drops 4.  -5/2: -3, -8/3, -7/3
+    # and -2 have denominator <= 3, and value bound 2 keeps only -2.
+    assert sorted(_neighbors_bounded(1, 0, 2, 3)) == [(k, 1) for k in range(-3, 4)]
+    assert sorted(_neighbors_bounded(3, 1, 1, 3)) == [(1, 0), (2, 1)]
+    assert sorted(_neighbors_bounded(-5, 2, 3, 3)) == [(-8, 3), (-7, 3), (-3, 1), (-2, 1)]
+    assert _neighbors_bounded(-5, 2, 3, 2) == [(-2, 1)]
 
 
 def test_bfs_oracle_bound_too_small():

@@ -120,6 +120,36 @@ class TestNegCF:
         with pytest.raises(ValueError):
             neg_cf(INFINITY)
 
+    @pytest.mark.parametrize(
+        "x,form,message",
+        [
+            (Slope(-3, 1), "open", "unknown form 'open'"),
+            (INFINITY, "lens", "cannot expand an infinite slope"),
+            (Slope(-1, 1), "lens", "lens-form expansion needs x < -1, got -1"),
+            (Slope(-1, 2), "solid", "solid-form expansion needs x <= -1, got -1/2"),
+        ],
+    )
+    def test_domain_error_messages(self, x, form, message):
+        with pytest.raises(ValueError) as exc:
+            neg_cf(x, form)
+        assert str(exc.value) == message
+
+    def test_roundtrip_every_lens_pair(self):
+        for p, q in lens_pairs(200):
+            coeffs = neg_cf(Slope(-p, q))
+            assert all(r <= -2 for r in coeffs), (p, q)
+            assert eval_neg_cf(coeffs) == Slope(-p, q), (p, q)
+
+    def test_solid_roundtrip(self):
+        # Every x <= -1 with numerator down to -60; only x = -1 ends in -1.
+        for num in range(-60, 0):
+            for den in range(1, -num + 1):
+                x = Slope(num, den)
+                coeffs = neg_cf(x, form="solid")
+                assert eval_neg_cf(coeffs) == x, x
+                assert x == Slope(-1) or all(r <= -2 for r in coeffs), x
+        assert neg_cf(Slope(-1), form="solid") == [-1]
+
     @given(st.integers(2, 200), st.integers(1, 199))
     def test_roundtrip(self, p, q):
         q = q % p

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lensknots.checks import rot_q_edges
+from lensknots.mcg import unknot_classes
 from lensknots.slopes import dual_fraction
 from lensknots.surgery import rot_spectrum
 from lensknots.tight import (
@@ -154,10 +155,15 @@ class TestClassification:
             assert c.sl_q == c.tb_q - c.rot_q
 
     def test_tb_is_the_peak_for_every_class(self):
+        # Also pins the knot order and each rot_q to the one-knot functions.
         for p, q in lens_pairs(60):
+            knots = unknot_classes(p, q)
             for ts in enumerate_tight(p, q):
-                for c in legendrian_classification(p, q, ts):
+                peaks = legendrian_classification(p, q, ts)
+                assert [c.knot for c in peaks] == knots, (p, q)
+                for c in peaks:
                     assert c.tb_q == tb_q_peak(p, q, c.knot), (p, q, c.knot)
+                    assert c.rot_q == rot_q_farey(ts, c.knot), (p, q, ts, c.knot)
 
     def test_transverse_values(self):
         ts = class_from_signs(5, 2, "-")
@@ -193,6 +199,10 @@ def test_stabilize():
         stabilize(c, "0")
 
 
+def _naive_cone(rot, tb, depth):
+    return tuple((rot + r, tb - k) for k in range(depth + 1) for r in range(-k, k + 1, 2))
+
+
 class TestMountainRange:
     def test_point_lattice(self):
         ts = class_from_signs(3, 1, "+")
@@ -214,6 +224,26 @@ class TestMountainRange:
         ts = enumerate_tight(2, 1)[0]
         mr = mountain_range(2, 1, ts, "k1", depth=0)
         assert mr.points == (mr.peak,)
+
+    def test_matches_the_double_loop(self):
+        # Every class and knot at depth 6; every depth up to 6 on the first
+        # class of each lens space.
+        for p, q in lens_pairs(30):
+            for i, ts in enumerate(enumerate_tight(p, q)):
+                for knot in unknot_classes(p, q):
+                    rot, tb = rot_q_farey(ts, knot), tb_q_peak(p, q, knot)
+                    for depth in range(7) if i == 0 else (6,):
+                        mr = mountain_range(p, q, ts, knot, depth)
+                        assert mr.points == _naive_cone(rot, tb, depth), (p, q, ts, knot, depth)
+                        assert (mr.knot, mr.peak, mr.depth) == (knot, (rot, tb), depth)
+
+    def test_depth_200(self):
+        for ts in enumerate_tight(3, 1):
+            for knot in ("k1", "-k1"):
+                rot, tb = rot_q_farey(ts, knot), tb_q_peak(3, 1, knot)
+                mr = mountain_range(3, 1, ts, knot, 200)
+                assert mr.points == _naive_cone(rot, tb, 200)
+                assert len(mr.points) == 201 * 202 // 2
 
     def test_negative_depth(self):
         ts = enumerate_tight(2, 1)[0]
