@@ -13,9 +13,9 @@ import time
 from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
-from .mcg import ORIENTED_KNOTS, contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
+from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
 from .slopes import Slope, _Record, _set
-from .surgery import KNOTS, build_chain, det_bareiss, linking_matrix, rot_spectrum
+from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_matrix, rot_spectrum
 from .tight import (
     ShuffleClass,
     block_partition,
@@ -132,10 +132,8 @@ def _edge_sum(p, signs, weights):
 def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Oracle for unknots.rot_q_farey: the signed sum over every decorated
     edge, one term per edge, without the shuffle blocks."""
-    if knot not in ORIENTED_KNOTS:
-        raise ValueError(f"knot must be one of {ORIENTED_KNOTS}, got {knot!r}")
-    rot = _edge_sum(ts.p, ts.signs, _edge_weights(ts.p, ts.q, ts.path, knot.lstrip("-")))
-    return -rot if knot.startswith("-") else rot
+    i, sign = _knot(knot)
+    return sign * _edge_sum(ts.p, ts.signs, _edge_weights(ts.p, ts.q, ts.path, KNOTS[i]))
 
 
 def _block_failures(tight):

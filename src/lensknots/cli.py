@@ -13,11 +13,11 @@ import re
 import sys
 
 from . import mcg as mcg_mod
+from . import surgery
 from .bypass import TorusState, attach_bypass
 from .checks import check_sweep
 from .farey import geodesic
 from .slopes import Slope
-from .surgery import KNOTS, build_chain, linking_det, linking_matrix, rot_q_surgery, rot_spectrum
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
 from .unknots import legendrian_classification, mountain_range
 
@@ -68,18 +68,18 @@ def cmd_tight(args) -> int:
 
 
 def cmd_surgery(args) -> int:
-    chain = build_chain(args.p, args.q, args.knot)
+    chain = surgery.build_chain(args.p, args.q, args.knot)
     out = {
         "framings": list(chain.framings),
         "meridian_of": chain.meridian_of,
-        "matrix": [list(row) for row in linking_matrix(chain)],
-        "det": linking_det(chain),
+        "matrix": [list(row) for row in surgery.linking_matrix(chain)],
+        "det": surgery.linking_det(chain),
     }
-    if args.rots:
-        rot = tuple(int(v) for v in args.rots.split(","))
-        out["rot_q"] = str(rot_q_surgery(chain, [rot])[0])
+    if args.rots is not None:
+        rot = tuple(int(v) for v in args.rots.split(",")) if args.rots else ()
+        out["rot_q"] = str(surgery.rot_q_surgery(chain, [rot])[0])
     else:
-        out["spectrum"] = [str(v) for v in rot_spectrum(args.p, args.q, args.knot)]
+        out["spectrum"] = [str(v) for v in surgery.rot_spectrum(args.p, args.q, args.knot)]
     if args.format == "json":
         print(json.dumps(out))
     else:
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surg = sub.add_parser("surgery", help="chain surgery presentation")
     p_surg.add_argument("p", type=int)
     p_surg.add_argument("q", type=int)
-    p_surg.add_argument("--knot", type=str.strip, choices=KNOTS, default="k1")
+    p_surg.add_argument("--knot", type=str.strip, choices=surgery.KNOTS, default="k1")
     p_surg.add_argument("--rots", type=str.strip, help="comma-separated rotation numbers")
     p_surg.add_argument("--format", choices=["json", "tsv"], default="tsv")
     p_surg.set_defaults(func=cmd_surgery)
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mr = sub.add_parser("mountain-range", help="Legendrian mountain range")
     p_mr.add_argument("p", type=int)
     p_mr.add_argument("q", type=int)
-    p_mr.add_argument("--knot", type=str.strip, choices=mcg_mod.ORIENTED_KNOTS, default="k1")
+    p_mr.add_argument("--knot", type=str.strip, choices=surgery.ORIENTED_KNOTS, default="k1")
     p_mr.add_argument("--structure", type=str.strip, metavar="SIGNS")
     p_mr.add_argument("--depth", type=int, default=4)
     p_mr.add_argument("--format", choices=["tsv", "json", "svg"], default="tsv")
@@ -277,19 +277,21 @@ _NEG_SLOPE = re.compile(r"-(\d|inf$)")
 # such as -+ or --, a rotation list such as -1,0,1.
 _DASH_VALUE_OPTIONS = ("--knot", "--structure", "--rots")
 _FLAG = re.compile(r"--?[a-z][a-z-]*")
+_JOINED_DASH_VALUE = re.compile(f"^({'|'.join(_DASH_VALUE_OPTIONS)})=(?=-)")
 
 
 def _protect_values(argv: list[str]) -> list[str]:
     """Pad with a space every token that argparse would take for an option
     but that is a value: a negative number, slope or comma list anywhere,
     and any token after --knot, --structure or --rots that starts with "-"
-    and is not spelled like a flag.  Slope.parse, int and the str.strip type
-    of those three options remove the space again."""
+    and is not spelled like a flag.  A value joined to those options by "="
+    is padded after the "=" when it starts with "-", as argparse drops a
+    bare "--".  Slope.parse, int and their str.strip type remove the space."""
     return [
         " " + a
         if _NEG_SLOPE.match(a)
         or (prev in _DASH_VALUE_OPTIONS and a.startswith("-") and not _FLAG.fullmatch(a))
-        else a
+        else _JOINED_DASH_VALUE.sub(r"\1= ", a)
         for prev, a in zip([None, *argv], argv)
     ]
 

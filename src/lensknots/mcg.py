@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .slopes import _Record, _set, q_is_minus_one, require_lens_pair
-
-ORIENTED_KNOTS = ("k1", "-k1", "k2", "-k2")
+from .slopes import _Record, _set, q_is_minus_one
+from .surgery import ORIENTED_KNOTS
 
 # tag -> (group order, number of generators); the infinite group's order is None
 _TAGS = {"trivial": (1, 0), "Z2": (2, 1), "Z2xZ2": (4, 2), "ZxZ2": (None, 2)}
@@ -64,7 +63,7 @@ _TABLE = (
 
 
 def _case(p: int, q: int) -> _Row:
-    require_lens_pair(p, q)
+    # The tuple is built in full, so q_is_minus_one validates the pair even for p = 2.
     tests = (p == 2, q_is_minus_one(p, q), q == 1, (q * q) % p == 1, True)
     return _TABLE[tests.index(True)]
 

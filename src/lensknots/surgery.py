@@ -15,6 +15,18 @@ from fractions import Fraction
 from .slopes import Slope, _Record, _set, cf_matrix_identity, neg_cf, require_lens_pair
 
 KNOTS = ("k1", "k2")
+# Oriented rational unknot -> (index of its core in KNOTS, orientation sign);
+# a leading "-" reverses the core, which keeps tb_q and negates rot_q.
+_ORIENTED = {"k1": (0, 1), "-k1": (0, -1), "k2": (1, 1), "-k2": (1, -1)}
+ORIENTED_KNOTS = tuple(_ORIENTED)
+
+
+def _knot(knot) -> tuple[int, int]:
+    """(core index, orientation sign) of an oriented knot name."""
+    try:
+        return _ORIENTED[knot]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise ValueError(f"knot must be one of {ORIENTED_KNOTS}, got {knot!r}") from None
 
 
 class SurgeryChain(_Record):

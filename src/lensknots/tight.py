@@ -57,8 +57,8 @@ def block_partition(path: list[Slope]) -> list[int]:
 def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
     """Maximal rational Thurston-Bennequin numbers of the cores k1 and k2:
     -(p-q)/p and -(p-p')/p, where p'/q' is the dual fraction of p/q."""
-    require_lens_pair(p, q)
-    return Fraction(q - p, p), Fraction(dual_fraction(p, q).num - p, p)
+    dual = dual_fraction(p, q)  # validates the lens pair first
+    return Fraction(q - p, p), Fraction(dual.num - p, p)
 
 
 class Decoration(_Record):

@@ -6,22 +6,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mcg import ORIENTED_KNOTS, unknot_classes
+from .mcg import unknot_classes
 from .slopes import _Record, _set
-from .surgery import KNOTS
+from .surgery import _knot
 from .tight import ShuffleClass, peak_tb
-
-
-def _base_knot(knot: str) -> tuple[str, int]:
-    if knot not in ORIENTED_KNOTS:
-        raise ValueError(f"knot must be one of {ORIENTED_KNOTS}, got {knot!r}")
-    return (knot.lstrip("-"), -1 if knot.startswith("-") else 1)
-
-
-def _peak(ts: ShuffleClass, knot: str) -> Fraction:
-    """tb_q_peak, read off the structure's shared Decoration."""
-    base, _ = _base_knot(knot)
-    return ts.decoration.peak_tb[KNOTS.index(base)]
 
 
 def _require_structure_on(p: int, q: int, ts: ShuffleClass) -> None:
@@ -32,8 +20,8 @@ def _require_structure_on(p: int, q: int, ts: ShuffleClass) -> None:
 def tb_q_peak(p: int, q: int, knot: str = "k1") -> Fraction:
     """Maximal rational Thurston-Bennequin number: -(p-q)/p for k1 and
     -(p-p')/p for k2, where p'/q' is the dual fraction of p/q."""
-    base, _ = _base_knot(knot)
-    return peak_tb(p, q)[KNOTS.index(base)]
+    i, _ = _knot(knot)
+    return peak_tb(p, q)[i]
 
 
 def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
@@ -62,8 +50,8 @@ def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Rational rotation number of the peak Legendrian representative, as a
     signed sum over the shuffle blocks of the structure's Farey path;
     reversing the orientation negates it."""
-    base, orient = _base_knot(knot)
-    return Fraction(orient * _block_sums(ts)[KNOTS.index(base)], ts.decoration.p)
+    i, sign = _knot(knot)
+    return Fraction(sign * _block_sums(ts)[i], ts.decoration.p)
 
 
 def sl_q(tb_q: Fraction, rot_q: Fraction) -> Fraction:
@@ -100,18 +88,14 @@ def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[Legendri
     oriented rational unknot of unknot_classes(p, q).
 
     The block sums run once per structure; a reversed knot shares the tb
-    of its base knot and negates its rot."""
+    of its core and negates its rot."""
     _require_structure_on(p, q, ts)
     sums = _block_sums(ts)
-    peaks = {}  # base knot -> (tb_q, rot_q)
+    tbs = ts.decoration.peak_tb
     out = []
     for knot in unknot_classes(p, q):
-        base = knot.lstrip("-")
-        if base not in peaks:
-            i = KNOTS.index(base)
-            peaks[base] = (ts.decoration.peak_tb[i], Fraction(sums[i], p))
-        tb, rot = peaks[base]
-        out.append(LegendrianClass(knot, tb, rot if knot == base else -rot, ts))
+        i, sign = _knot(knot)
+        out.append(LegendrianClass(knot, tbs[i], Fraction(sign * sums[i], p), ts))
     return out
 
 
@@ -148,8 +132,9 @@ def mountain_range(
     if depth < 0:
         raise ValueError("depth must be non-negative")
     _require_structure_on(p, q, ts)
-    rot = rot_q_farey(ts, knot)
-    tb = _peak(ts, knot)
+    i, sign = _knot(knot)
+    rot = Fraction(sign * _block_sums(ts)[i], p)
+    tb = ts.decoration.peak_tb[i]
     # The depth + 1 rows share 2 depth + 1 rot values and depth + 1 tb
     # values; row k takes every other rot from rot - k to rot + k.
     rots = [rot + r for r in range(-depth, depth + 1)]

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,13 +87,13 @@ def test_surgery_rots_list_may_start_with_minus(capsys):
             ["mountain-range", "12", "5", "--structure=--", "--knot=-k2", "--format", "json"],
         ),
         (["surgery", "12", "5", "--rots", "-1,0,1"], ["surgery", "12", "5", "--rots=-1,0,1"]),
+        (["unknots", "12", "5", "--structure", "--"], ["unknots", "12", "5", "--structure=--"]),
     ],
 )
 def test_values_may_start_with_minus(spaced, joined):
     code, out, err = run_captured(spaced)
     assert (code, err) == (0, "")
-    if "--structure=--" not in joined:  # argparse drops a bare "--" value
-        assert (code, out, err) == run_captured(joined)
+    assert (code, out, err) == run_captured(joined)
     assert out
 
 
@@ -256,6 +259,8 @@ def test_usage_error_exit_code():
         ["mcg", "s1s2", "--smooth"],
         ["mcg", "s1s2", "--rel-torus"],
         ["mcg", "s1s2", "--kernel"],
+        ["surgery", "5", "2", "--rots", ""],
+        ["surgery", "5", "2", "--rots= "],
     ],
 )
 def test_usage_error_message(capsys, argv):
@@ -306,3 +311,41 @@ def test_unknots_json_roundtrip(pq):
         assert row["knot"] == c.knot
         for key in ("tb_q", "rot_q", "sl_q"):
             assert Slope.parse(row[key]).as_fraction() == getattr(c, key)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_examples():
+    """(argv, comment) of every line starting with `lensknots` in the sh
+    blocks of the README's CLI section, without the program name, the
+    `# ...` comment and any `> file` redirect."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            if line.startswith("lensknots"):
+                command, _, comment = line.partition("#")
+                argv = shlex.split(command.split(">")[0])[1:]
+                examples.append((argv, comment.strip()))
+    return examples
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+@pytest.mark.parametrize(
+    "argv,comment", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_cli_example(argv, comment):
+    code, out, err = run_captured(argv)
+    assert (code, err) == (0, "")
+    assert out
+    if argv[:2] == ["farey", "path"]:  # the comment is the printed path
+        assert out.strip() == comment
+
+
+def test_readme_cli_examples_are_found():
+    commands = [argv[0] for argv, _ in README_EXAMPLES]
+    assert {"farey", "surgery", "unknots", "mountain-range", "mcg", "check"} <= set(commands)
+    assert ["farey", "path", "-12/5", "0"] in [argv for argv, _ in README_EXAMPLES]

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lensknots import mcg, slopes, tight
 from lensknots.mcg import (
     GroupDescription,
     contact_mcg,
@@ -109,6 +110,28 @@ def test_unknot_classes():
     assert unknot_classes(3, 1) == ["k1", "-k1"]
     assert unknot_classes(5, 4) == ["k1", "-k1"]
     assert unknot_classes(5, 2) == ["k1", "-k1", "k2", "-k2"]
+
+
+@pytest.mark.parametrize(
+    "call", [unknot_classes, smooth_mcg, tight.peak_tb], ids=lambda f: f.__name__
+)
+def test_one_lens_pair_validation_per_call(monkeypatch, call):
+    real, checked = slopes.require_lens_pair, []
+
+    def counted(p, q):
+        checked.append((p, q))
+        real(p, q)
+
+    for mod in (slopes, tight, mcg):
+        if hasattr(mod, "require_lens_pair"):
+            monkeypatch.setattr(mod, "require_lens_pair", counted)
+    for p, q in [(2, 1), (5, 4), (8, 3), (12, 5)]:
+        checked.clear()
+        call(p, q)
+        assert checked == [(p, q)], call.__name__
+    for p, q in [(6, 3), (1, 0), (5, 5), (-5, 2), (2, 3)]:
+        with pytest.raises(ValueError, match=rf"^need coprime p > q > 0, got \({p}, {q}\)$"):
+            call(p, q)
 
 
 def _g(tag, *generators, cont0=None):

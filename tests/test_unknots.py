@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from lensknots import mcg
 from lensknots.checks import rot_q_edges
 from lensknots.mcg import unknot_classes
 from lensknots.slopes import dual_fraction
-from lensknots.surgery import rot_spectrum
+from lensknots.surgery import ORIENTED_KNOTS, rot_spectrum
 from lensknots.tight import (
     ShuffleClass,
     class_from_signs,
@@ -73,6 +74,58 @@ class TestPeakTb:
         for knot in ("k1", "-k1", "k2", "-k2"):
             with pytest.raises(ValueError):
                 tb_q_peak(p, q, knot)
+
+
+class TestKnotNames:
+    def test_oriented_knots(self):
+        assert ORIENTED_KNOTS == ("k1", "-k1", "k2", "-k2")
+        assert mcg.ORIENTED_KNOTS is ORIENTED_KNOTS
+
+    @pytest.mark.parametrize("bad", ["k3", "", "-k3", "--k1", "k1 ", None, [], 1])
+    def test_every_reader_rejects_other_names_alike(self, bad):
+        ts = enumerate_tight(12, 5)[0]
+        message = f"knot must be one of ('k1', '-k1', 'k2', '-k2'), got {bad!r}"
+        for read in (
+            lambda: tb_q_peak(12, 5, bad),
+            lambda: rot_q_farey(ts, bad),
+            lambda: rot_q_edges(ts, bad),
+            lambda: mountain_range(12, 5, ts, bad),
+        ):
+            with pytest.raises(ValueError) as exc:
+                read()
+            assert str(exc.value) == message
+
+
+def _heegaard_dual(p, q):
+    """q* = q^-1 mod p: swapping the Heegaard tori identifies L(p,q) with
+    L(p,q*) and carries k2 to k1."""
+    return pow(q, -1, p)
+
+
+class TestHeegaardSwap:
+    def test_peak_tb(self):
+        pairs = list(lens_pairs(40))
+        assert len(pairs) == 489
+        for p, q in pairs:
+            assert tb_q_peak(p, q, "k2") == tb_q_peak(p, _heegaard_dual(p, q), "k1"), (p, q)
+
+    def test_rotation_spectrum(self):
+        for p, q in lens_pairs(40):
+            k2 = sorted(rot_q_farey(ts, "k2") for ts in enumerate_tight(p, q))
+            k1 = sorted(rot_q_farey(ts, "k1") for ts in enumerate_tight(p, _heegaard_dual(p, q)))
+            assert k2 == k1, (p, q)
+
+    def test_rotation_per_class(self):
+        # The swap reverses the decorated path and exchanges the signs.
+        swap = str.maketrans("+-", "-+")
+        classes = 0
+        for p, q in lens_pairs(30):
+            for ts in enumerate_tight(p, q):
+                signs = ts.sign_string[::-1].translate(swap)
+                dual = class_from_signs(p, _heegaard_dual(p, q), signs)
+                assert rot_q_farey(ts, "k2") == rot_q_farey(dual, "k1"), (p, q, ts.sign_string)
+                classes += 1
+        assert classes == 1741
 
 
 class TestRotation:
