@@ -24,7 +24,7 @@ from .tight import (
     is_universally_tight,
     standard_structures,
 )
-from .unknots import legendrian_classification, rot_q_farey
+from .unknots import rot_q_farey, tb_q_peak
 
 
 class CheckResult(_Record):
@@ -174,10 +174,15 @@ def _mcg_failures(tight):
             yield f"L({p},{q}) iso criterion"
         elif c.order > 1 and (q * q) % p != 1:
             yield f"L({p},{q}) sigma without q^2=1"
-        elif len(unknot_classes(p, q)) != len(
-            legendrian_classification(p, q, classes[0])
-        ):
-            yield f"L({p},{q}) unknot count vs peak list"
+        elif (n := len(unknot_classes(p, q))) < 4:
+            # Oriented unknots the table merges share their peaks in every
+            # structure, whatever the orientations; a lone k1 has rot 0.
+            if tb_q_peak(p, q, "k1") != tb_q_peak(p, q, "k2"):
+                yield f"L({p},{q}) merged unknots with different peak tb"
+            for i, ts in enumerate(classes):
+                rot1, rot2 = rot_q_farey(ts, "k1"), rot_q_farey(ts, "k2")
+                if abs(rot1) != abs(rot2) or (n == 1 and rot1 != 0):
+                    yield f"L({p},{q}) class {i} merged unknots with different peak rot"
 
 
 def _univ_failures(tight):

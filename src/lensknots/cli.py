@@ -8,6 +8,7 @@ output round-trips to the identical values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -115,40 +116,14 @@ def cmd_unknots(args) -> int:
     return 0
 
 
-def _distinct(column) -> dict:
-    """{id(v): v} over one coordinate column of a mountain range's points.
-
-    mountain_range builds each distinct rot and tb value once and its
-    points share them, so N points hold O(sqrt N) objects.  The range
-    outlives every use of the result, so no id is reused meanwhile."""
-    return {id(v): v for v in column}
-
-
-def _render(column, render) -> list[str]:
-    """[render(v) for v in column], with render called once per distinct
-    object of the column."""
-    names = {key: render(v) for key, v in _distinct(column).items()}
-    return [names[id(v)] for v in column]
-
-
-def _mountain_svg(rots, tbs) -> str:
-    unit = 30  # pixels per rot and per tb unit, keeping the grid square
-    pad = 1
-    xs, ys = _distinct(rots).values(), _distinct(tbs).values()
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
-    width = int((x1 - x0) * unit)
-    height = int((y1 - y0) * unit)
-    cxs = _render(rots, lambda rot: f"{float((rot - x0) * unit):.1f}")
-    cys = _render(tbs, lambda tb: f"{float((y1 - tb) * unit):.1f}")
-    return "\n".join(
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            *map('<circle cx="{}" cy="{}" r="4" fill="black"/>'.format, cxs, cys),
-            "</svg>",
-        ]
-    )
+def _write_points(mr, rots, tbs, sep) -> None:
+    """Write the points of the mountain range mr joined by sep, one write
+    per row; rots and tbs render its rot and tb columns so that the point
+    (rots[i], tbs[k]) reads rots[i] + tbs[k]."""
+    lead = ""
+    for tb, row in mr.rows(rots, tbs):
+        sys.stdout.write(lead + (tb + sep).join(row) + tb)
+        lead = sep
 
 
 def cmd_mountain(args) -> int:
@@ -156,21 +131,31 @@ def cmd_mountain(args) -> int:
     if len(classes) != 1:
         raise ValueError("ambiguous tight structure; pass --structure SIGNS")
     mr = mountain_range(args.p, args.q, classes[0], args.knot, args.depth)
-    rots = [r for r, _ in mr.points]
-    tbs = [t for _, t in mr.points]
+    rots, tbs = mr.columns()
     if args.format == "json":
-        payload = {
-            "knot": mr.knot,
-            "peak": [str(mr.peak[0]), str(mr.peak[1])],
-            "depth": mr.depth,
-            "points": list(map(list, zip(_render(rots, str), _render(tbs, str)))),
-        }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        peak = [str(mr.peak[0]), str(mr.peak[1])]
+        doc = {"knot": mr.knot, "peak": peak, "depth": mr.depth, "points": []}
+        # json.dumps(doc) ends in "points": []}; the points go between the brackets.
+        sys.stdout.write(json.dumps(doc)[:-2])
+        cells = ["[" + json.dumps(str(r)) for r in rots]
+        _write_points(mr, cells, [f", {json.dumps(str(t))}]" for t in tbs], ", ")
+        sys.stdout.write("]}\n")
     elif args.format == "svg":
-        sys.stdout.write(_mountain_svg(rots, tbs) + "\n")
+        unit = 30  # pixels per rot and per tb unit, keeping the grid square
+        x0, x1 = min(rots) - 1, max(rots) + 1
+        y0, y1 = min(tbs) - 1, max(tbs) + 1
+        width, height = int((x1 - x0) * unit), int((y1 - y0) * unit)
+        sys.stdout.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+        )
+        cxs = [f'<circle cx="{float((r - x0) * unit):.1f}' for r in rots]
+        cys = [f'" cy="{float((y1 - t) * unit):.1f}" r="4" fill="black"/>' for t in tbs]
+        _write_points(mr, cxs, cys, "\n")
+        sys.stdout.write("\n</svg>\n")
     else:
-        rows = map("{}\t{}\n".format, _render(rots, str), _render(tbs, str))
-        sys.stdout.write("rot_q\ttb_q\n" + "".join(rows))
+        sys.stdout.write("rot_q\ttb_q\n")
+        _write_points(mr, [str(r) for r in rots], [f"\t{t}\n" for t in tbs], "")
     return 0
 
 
@@ -207,11 +192,12 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lensknots",
-        description="Exact contact-topological invariants of lens spaces",
+    # Every parser takes options only as spelled in full.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
+        prog="lensknots", description="Exact contact-topological invariants of lens spaces"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p_farey = sub.add_parser("farey", help="Farey graph queries")
     p_farey.add_argument("action", choices=["path"])
@@ -272,35 +258,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEG_SLOPE = re.compile(r"-(\d|inf$)")
-# Options whose value may start with "-": a knot such as -k1, a sign string
-# such as -+ or --, a rotation list such as -1,0,1.
-_DASH_VALUE_OPTIONS = ("--knot", "--structure", "--rots")
-_FLAG = re.compile(r"--?[a-z][a-z-]*")
-_JOINED_DASH_VALUE = re.compile(f"^({'|'.join(_DASH_VALUE_OPTIONS)})=(?=-)")
+# Spelled like an option: -x, --name or --name=value (group 1 holds the value).
+_OPTION = re.compile(r"-[A-Za-z]|--[A-Za-z][\w-]*(?:=(.*))?", re.S)
 
 
-def _protect_values(argv: list[str]) -> list[str]:
-    """Pad with a space every token that argparse would take for an option
-    but that is a value: a negative number, slope or comma list anywhere,
-    and any token after --knot, --structure or --rots that starts with "-"
-    and is not spelled like a flag.  A value joined to those options by "="
-    is padded after the "=" when it starts with "-", as argparse drops a
-    bare "--".  Slope.parse, int and their str.strip type remove the space."""
-    return [
-        " " + a
-        if _NEG_SLOPE.match(a)
-        or (prev in _DASH_VALUE_OPTIONS and a.startswith("-") and not _FLAG.fullmatch(a))
-        else _JOINED_DASH_VALUE.sub(r"\1= ", a)
-        for prev, a in zip([None, *argv], argv)
-    ]
+def _protect(token: str) -> str:
+    """Pad with a space a value that argparse would take for an option.
+
+    A token is an option only if it is spelled like one; every other token
+    that starts with "-" is a value (-5, -inf, -k1, -+, --, -1,0,1).  A
+    --name=value whose value starts with "-" is padded after the "=", as
+    argparse drops a bare "--".  int, Slope.parse and str.strip drop the
+    space."""
+    m = _OPTION.fullmatch(token)
+    if m is None:
+        return " " + token if token.startswith("-") else token
+    if m[1] and m[1].startswith("-"):
+        return f"{token[: m.start(1)]} {m[1]}"
+    return token
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_protect_values(argv))
+    args = parser.parse_args([_protect(a) for a in argv])
     try:
         return args.func(args)
     except ValueError as exc:

@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .farey import geodesic
+from .mcg import unknot_classes
 from .slopes import (
     Slope,
     _Record,
@@ -64,10 +65,11 @@ def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
 class Decoration(_Record):
     """What every tight structure on one L(p,q) shares: the decorated path,
     its shuffle blocks, the edge vector (dnum, dden) = b - a that every
-    decorated edge a -> b of a block has in common, and the peak tb of the
-    two cores (k1, k2)."""
+    decorated edge a -> b of a block has in common, the peak tb of the
+    two cores (k1, k2) and the oriented rational unknots up to smooth
+    isotopy, as mcg's table lists them."""
 
-    __slots__ = ("p", "q", "path", "blocks", "steps", "peak_tb")
+    __slots__ = ("p", "q", "path", "blocks", "steps", "peak_tb", "knots")
 
     def __init__(
         self,
@@ -77,6 +79,7 @@ class Decoration(_Record):
         blocks: tuple[int, ...],
         steps: tuple[tuple[int, int], ...],
         peak_tb: tuple[Fraction, Fraction],
+        knots: tuple[str, ...],
     ):
         _set(self, "p", p)
         _set(self, "q", q)
@@ -84,6 +87,7 @@ class Decoration(_Record):
         _set(self, "blocks", blocks)
         _set(self, "steps", steps)
         _set(self, "peak_tb", peak_tb)
+        _set(self, "knots", knots)
 
 
 def decoration(p: int, q: int) -> Decoration:
@@ -105,7 +109,8 @@ def decoration(p: int, q: int) -> Decoration:
         a, b = path[first], path[first + 1]
         steps.append((b.num - a.num, b.den - a.den))
         first += size
-    return Decoration(p, q, path, blocks, tuple(steps), peak_tb(p, q))
+    knots = tuple(unknot_classes(p, q))
+    return Decoration(p, q, path, blocks, tuple(steps), peak_tb(p, q), knots)
 
 
 class ShuffleClass(_Record):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mcg import unknot_classes
 from .slopes import _Record, _set
 from .surgery import _knot
 from .tight import ShuffleClass, peak_tb
@@ -85,17 +84,17 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
 
 def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
     """Peak Legendrian representatives in the given tight structure, one per
-    oriented rational unknot of unknot_classes(p, q).
+    oriented rational unknot of L(p,q) (the decoration's knots).
 
     The block sums run once per structure; a reversed knot shares the tb
     of its core and negates its rot."""
     _require_structure_on(p, q, ts)
     sums = _block_sums(ts)
-    tbs = ts.decoration.peak_tb
+    d = ts.decoration
     out = []
-    for knot in unknot_classes(p, q):
+    for knot in d.knots:
         i, sign = _knot(knot)
-        out.append(LegendrianClass(knot, tbs[i], Fraction(sign * sums[i], p), ts))
+        out.append(LegendrianClass(knot, d.peak_tb[i], Fraction(sign * sums[i], p), ts))
     return out
 
 
@@ -107,39 +106,44 @@ def transverse_classification(p: int, q: int, ts: ShuffleClass) -> list[Fraction
 
 class MountainRange(_Record):
     """The (rot_q, tb_q) dots realized by one oriented unknot down to a
-    stabilization depth cutoff."""
+    stabilization depth cutoff, held as its peak (rot, tb) and its depth:
+    row k, for k = 0..depth, lies at tb - k and holds every other rot from
+    rot - k to rot + k."""
 
-    __slots__ = ("knot", "peak", "depth", "points")
+    __slots__ = ("knot", "peak", "depth")
 
-    def __init__(
-        self,
-        knot: str,
-        peak: tuple[Fraction, Fraction],
-        depth: int,
-        points: tuple[tuple[Fraction, Fraction], ...],
-    ):
+    def __init__(self, knot: str, peak: tuple[Fraction, Fraction], depth: int):
+        if depth < 0:
+            raise ValueError("depth must be non-negative")
         _set(self, "knot", knot)
         _set(self, "peak", peak)
         _set(self, "depth", depth)
-        _set(self, "points", points)
+
+    def columns(self) -> tuple[list[Fraction], list[Fraction]]:
+        """The 2 depth + 1 rots, rot - depth .. rot + depth, and the tb of
+        each row, tb .. tb - depth."""
+        (rot, tb), d = self.peak, self.depth
+        return [rot + r for r in range(-d, d + 1)], [tb - k for k in range(d + 1)]
+
+    def rows(self, rots: list, tbs: list):
+        """Yield (tbs[k], the entries of rots in row k) for k = 0..depth,
+        where rots and tbs are the columns or lists aligned with them, such
+        as their renderings."""
+        d = self.depth
+        for k in range(d + 1):
+            yield tbs[k], rots[d - k : d + k + 1 : 2]
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Every dot, row by row, built on access."""
+        return tuple((r, tb) for tb, row in self.rows(*self.columns()) for r in row)
 
 
 def mountain_range(
     p: int, q: int, ts: ShuffleClass, knot: str = "k1", depth: int = 4
 ) -> MountainRange:
-    """Peak plus its stabilization cone: depth k holds the k+1 dots with
-    rotation peak_rot - k, peak_rot - k + 2, ..., peak_rot + k."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    """Peak plus its stabilization cone down to the given depth."""
     _require_structure_on(p, q, ts)
     i, sign = _knot(knot)
     rot = Fraction(sign * _block_sums(ts)[i], p)
-    tb = ts.decoration.peak_tb[i]
-    # The depth + 1 rows share 2 depth + 1 rot values and depth + 1 tb
-    # values; row k takes every other rot from rot - k to rot + k.
-    rots = [rot + r for r in range(-depth, depth + 1)]
-    points = []
-    for k in range(depth + 1):
-        row_tb = tb - k
-        points += [(r, row_tb) for r in rots[depth - k : depth + k + 1 : 2]]
-    return MountainRange(knot, (rot, tb), depth, tuple(points))
+    return MountainRange(knot, (rot, ts.decoration.peak_tb[i]), depth)

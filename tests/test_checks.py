@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lensknots import checks
+from lensknots import checks, unknots
 from lensknots.checks import check_sweep, lens_pairs
 
 
@@ -99,3 +99,33 @@ def test_det_family_checks_each_knot(monkeypatch):
 
     monkeypatch.setattr(checks, "linking_matrix", doubled_k2)
     assert list(checks._det_failures({(5, 2): [], (7, 3): []})) == ["L(5,2) k2", "L(7,3) k2"]
+
+
+def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
+    # Where the table merges k1 with k2 their peak tb must agree; L(2,1)
+    # is the first lens space with a single oriented unknot.
+    peak_tb = unknots.peak_tb
+
+    def wrong_k2(p, q):
+        tb1, tb2 = peak_tb(p, q)
+        return tb1, tb2 - 1
+
+    monkeypatch.setattr(unknots, "peak_tb", wrong_k2)
+    assert _failures(6) == {
+        "MCG divisibility and iso criterion": "L(2,1) merged unknots with different peak tb"
+    }
+
+
+def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):
+    # A merged k2 must have the |rot| of k1 in every class; shifting its rot
+    # by 1 breaks that first on L(2,1).
+    rot_q_farey = checks.rot_q_farey
+
+    def shifted_k2(ts, knot="k1"):
+        return rot_q_farey(ts, knot) + (knot == "k2")
+
+    monkeypatch.setattr(checks, "rot_q_farey", shifted_k2)
+    failures = _failures(6)
+    assert failures["MCG divisibility and iso criterion"] == (
+        "L(2,1) class 0 merged unknots with different peak rot"
+    )

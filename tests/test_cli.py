@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensknots.checks import lens_pairs
-from lensknots.cli import main
+from lensknots.cli import build_parser, main
 from lensknots.slopes import Slope
 from lensknots.tight import class_from_signs, enumerate_tight
 from lensknots.unknots import legendrian_classification, mountain_range
@@ -109,6 +111,100 @@ def test_a_flag_after_a_value_option_is_still_a_flag():
     assert exc.value.code == 2
 
 
+# A successful call of each subcommand, and a value for each of its options
+# that takes one.
+CALLS = {
+    "farey": (["farey", "path", "0", "1"], {}),
+    "bypass": (["bypass", "-5/2", "0"], {}),
+    "tight-structures": (["tight-structures", "12", "5"], {}),
+    "surgery": (["surgery", "3", "1"], {"--knot": "k2", "--rots": "-1", "--format": "json"}),
+    "unknots": (["unknots", "12", "5"], {"--structure": "-+", "--format": "json"}),
+    "mountain-range": (
+        ["mountain-range", "3", "1", "--structure", "+"],
+        {"--knot": "-k1", "--structure": "-", "--depth": "2", "--format": "svg"},
+    ),
+    "mcg": (["mcg", "8", "3"], {}),
+    "check": (["check"], {"--pmax": "3", "--format": "json"}),
+}
+
+
+def _long_options():
+    """(subcommand, option, whether it takes a value) for every long option
+    of every subcommand parser, --help included."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, option, action.nargs != 0)
+        for command, subparser in sub.choices.items()
+        for action in subparser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    ]
+
+
+def _spellings(command, option, takes_value, spelled):
+    """Each call of the subcommand with the option, spelled as given,
+    appended: spaced, and joined by "=" when it takes a value."""
+    base, values = CALLS[command]
+    if not takes_value:
+        return [base + [spelled]]
+    value = values[option]
+    return [base + [spelled, value], base + [f"{spelled}={value}"]]
+
+
+FULL_SPELLINGS = [argv for case in _long_options() for argv in _spellings(*case, case[1])]
+PREFIXES = [
+    argv
+    for case in _long_options()
+    for n in range(3, len(case[1]))
+    for argv in _spellings(*case, case[1][:n])
+] + [
+    ["unknots", "12", "5", "--struct", "-+"],
+    ["unknots", "12", "5", "--struct=--"],
+    ["mountain-range", "3", "1", "--structure", "+", "--kn", "-k1"],
+]
+
+
+def _exit_code(argv):
+    """main's exit code, SystemExit included, with its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_every_long_option_has_a_call():
+    assert {command for command, _, _ in _long_options()} == set(CALLS)
+    for command, option, takes_value in _long_options():
+        assert takes_value == (option in CALLS[command][1]), (command, option)
+
+
+@pytest.mark.parametrize("argv", FULL_SPELLINGS, ids=" ".join)
+def test_an_option_spelled_in_full_succeeds(argv):
+    assert _exit_code(argv) == 0
+
+
+@pytest.mark.parametrize("argv", PREFIXES, ids=" ".join)
+def test_an_option_prefix_exits_2(argv):
+    assert _exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [["farey", "path", "-inf", "0"], ["farey", "path", "0", "-inf"]])
+def test_minus_infinity_is_a_slope(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)[:: 1 if argv[2] == "-inf" else -1] == ["inf", "0"]
+
+
+def test_double_dash_is_always_a_value(capsys):
+    spaced = run(capsys, "mountain-range", "12", "5", "--structure", "--", "--depth", "0")
+    assert spaced == run(capsys, "mountain-range", "12", "5", "--structure=--", "--depth", "0")
+    assert spaced[0] == 0
+    # Never argparse's end-of-options marker.
+    assert _exit_code(["farey", "--", "path", "0", "1"]) == 2
+
+
 def test_unknots_tsv(capsys):
     code, out = run(capsys, "unknots", "2", "1")
     lines = out.strip().splitlines()
@@ -200,13 +296,47 @@ def _per_point_rendering(mr, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "svg"])
-@pytest.mark.parametrize("p,q,signs,knot", [(12, 5, "-+", "-k2"), (7, 2, "++", "k1"), (2, 1, "", "k1")])
-def test_mountain_range_output_matches_per_point_rendering(fmt, p, q, signs, knot):
-    argv = ["mountain-range", str(p), str(q), f"--knot={knot}", "--depth", "12", "--format", fmt]
+@pytest.mark.parametrize(
+    "p,q,signs,knot,depth",
+    [
+        pytest.param(12, 5, "-+", "-k2", 12, id="12-5--+--k2"),
+        pytest.param(7, 2, "++", "k1", 12, id="7-2-++-k1"),
+        pytest.param(2, 1, "", "k1", 12, id="2-1--k1"),
+        pytest.param(3, 1, "-", "-k1", 300, id="3-1---k1-depth-300"),
+        pytest.param(5, 2, "+", "k2", 0, id="5-2-+-k2-depth-0"),
+    ],
+)
+def test_mountain_range_output_matches_per_point_rendering(fmt, p, q, signs, knot, depth):
+    argv = ["mountain-range", str(p), str(q), f"--knot={knot}", f"--depth={depth}", "--format", fmt]
     code, out, err = run_captured(argv + ([f"--structure={signs}"] if signs else []))
     assert (code, err) == (0, "")
-    mr = mountain_range(p, q, class_from_signs(p, q, signs), knot, 12)
+    mr = mountain_range(p, q, class_from_signs(p, q, signs), knot, depth)
     assert out == _per_point_rendering(mr, fmt)
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "svg"])
+def test_mountain_range_memory_is_bounded(fmt):
+    # 45 451 points: holding them all, or their rendering, takes 8-12 MiB;
+    # writing row by row needs the 601 rot and 301 tb values and one row.
+    argv = ["mountain-range", "3", "1", "--structure", "+", "--depth", "300", "--format", fmt]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mcg_spot_values(capsys):

@@ -16,6 +16,7 @@ from lensknots.tight import (
     enumerate_tight,
 )
 from lensknots.unknots import (
+    MountainRange,
     legendrian_classification,
     mountain_range,
     rot_q_farey,
@@ -218,6 +219,24 @@ class TestClassification:
                     assert c.tb_q == tb_q_peak(p, q, c.knot), (p, q, c.knot)
                     assert c.rot_q == rot_q_farey(ts, c.knot), (p, q, ts, c.knot)
 
+    def test_one_table_read_per_lens_space(self, monkeypatch):
+        # The oriented unknots come from mcg's table once per lens space,
+        # through the shared decoration, not once per class.
+        calls = []
+        case = mcg._case
+
+        def counted(p, q):
+            calls.append((p, q))
+            return case(p, q)
+
+        monkeypatch.setattr(mcg, "_case", counted)
+        for p, q in lens_pairs(12):
+            calls.clear()
+            for ts in enumerate_tight(p, q):
+                legendrian_classification(p, q, ts)
+                transverse_classification(p, q, ts)
+            assert calls == [(p, q)], f"L({p},{q})"
+
     def test_transverse_values(self):
         ts = class_from_signs(5, 2, "-")
         assert transverse_classification(5, 2, ts) == [
@@ -297,6 +316,27 @@ class TestMountainRange:
                 mr = mountain_range(3, 1, ts, knot, 200)
                 assert mr.points == _naive_cone(rot, tb, 200)
                 assert len(mr.points) == 201 * 202 // 2
+
+    def test_holds_peak_and_depth_only(self):
+        ts = class_from_signs(3, 1, "+")
+        mr = mountain_range(3, 1, ts, "-k1", depth=1000)
+        assert MountainRange.__slots__ == ("knot", "peak", "depth")
+        assert mr == MountainRange("-k1", mr.peak, 1000)
+        rot, tb = mr.peak
+        rots, tbs = mr.columns()
+        assert rots == [rot + r for r in range(-1000, 1001)]
+        assert tbs == [tb - k for k in range(1001)]
+        with pytest.raises(ValueError):
+            MountainRange("-k1", mr.peak, -1)
+
+    def test_rows_walk_any_aligned_columns(self):
+        mr = mountain_range(3, 1, class_from_signs(3, 1, "+"), "k1", depth=2)
+        names = [f"r{i}" for i in range(5)]
+        assert list(mr.rows(names, ["a", "b", "c"])) == [
+            ("a", ["r2"]),
+            ("b", ["r1", "r3"]),
+            ("c", ["r0", "r2", "r4"]),
+        ]
 
     def test_negative_depth(self):
         ts = enumerate_tight(2, 1)[0]
