@@ -191,9 +191,32 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Every parser takes options only as spelled in full.
-    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes options only as spelled in full and
+    quotes every token in its usage errors as typed.
+
+    `typed` maps each token that _protect padded to the token as typed."""
+
+    def __init__(self, *args, typed=None, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.typed = typed or {}
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(self.typed.get(e, e) for e in extras)}")
+        return args
+
+    def error(self, message):
+        # argparse quotes a bad value by its repr, padding included.
+        for padded, token in self.typed.items():
+            i = padded.index(" ")
+            message = message.replace(repr(padded[i:]), repr(token[i:]))
+        super().error(message)
+
+
+def build_parser(typed=None) -> argparse.ArgumentParser:
+    strict = functools.partial(_Parser, typed=typed)
     parser = strict(
         prog="lensknots", description="Exact contact-topological invariants of lens spaces"
     )
@@ -244,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mr.set_defaults(func=cmd_mountain)
 
     p_mcg = sub.add_parser("mcg", help="mapping class group tables")
-    p_mcg.add_argument("args", nargs="+", metavar="P Q | s1s2")
+    p_mcg.add_argument("args", nargs="+", type=str.strip, metavar="P Q | s1s2")
     table = p_mcg.add_mutually_exclusive_group()
     for name in _MCG_TABLES:
         table.add_argument(f"--{name}", dest="table", action="store_const", const=name)
@@ -269,7 +292,7 @@ def _protect(token: str) -> str:
     that starts with "-" is a value (-5, -inf, -k1, -+, --, -1,0,1).  A
     --name=value whose value starts with "-" is padded after the "=", as
     argparse drops a bare "--".  int, Slope.parse and str.strip drop the
-    space."""
+    space, and _Parser's usage errors quote the token without it."""
     m = _OPTION.fullmatch(token)
     if m is None:
         return " " + token if token.startswith("-") else token
@@ -279,10 +302,11 @@ def _protect(token: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args([_protect(a) for a in argv])
+    tokens = [_protect(a) for a in argv]
+    typed = {t: a for t, a in zip(tokens, argv) if t != a}
+    args = build_parser(typed).parse_args(tokens)
     try:
         return args.func(args)
     except ValueError as exc:

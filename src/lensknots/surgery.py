@@ -93,37 +93,53 @@ def rot_choices(chain: SurgeryChain) -> list[tuple[int, ...]]:
 
 def det_bareiss(matrix) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination; every intermediate value is an exact integer."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    elimination; every intermediate value is an exact integer.
+
+    Each row is kept as a map from column to entry that leaves out its
+    zeros, so a step touches only nonzero entries: a row is updated in the
+    pivot row's nonzero columns, and elsewhere its entries are only scaled
+    by pivot/previous pivot, which is exact (a row with a zero multiplier
+    is scaled all the same).  A zero pivot is swapped with the first row
+    below that is nonzero in its column."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for k in range(n):
+        if not rows[k].get(k):
             for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                if rows[i].get(k):
+                    rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        pivot_row = rows[k]
+        pivot = pivot_row.pop(k)
+        for row in rows[k + 1 :]:
+            mult = row.pop(k, 0)
+            if pivot != prev:
+                for j, v in row.items():
+                    if not (mult and j in pivot_row):
+                        row[j] = v * pivot // prev
+            if mult:
+                for j, b in pivot_row.items():
+                    row[j] = (row.get(j, 0) * pivot - mult * b) // prev
+        prev = pivot
+    return sign * prev
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
     """Exact solution of an integer linear system via Cramer's rule on
     Bareiss determinants."""
+    n = len(matrix)
+    if len(rhs) != n:
+        raise ValueError(f"right-hand side must have {n} entries, got {len(rhs)}")
     d = det_bareiss(matrix)
     if d == 0:
         raise ValueError("singular linking matrix")
-    n = len(rhs)
     out = []
     for col in range(n):
         replaced = [

@@ -129,6 +129,7 @@ def test_criterion_5_geodesics_and_farthest_neighbor():
 
 
 def test_criterion_6_linking_matrix_determinants():
+    t0 = time.perf_counter()
     for p, q in lens_pairs(200):
         # k1 and k2 share one chain, so one determinant checks both.
         m = linking_matrix(build_chain(p, q, "k1"))
@@ -139,6 +140,8 @@ def test_criterion_6_linking_matrix_determinants():
         for knot in ("k1", "k2"):
             for v in rot_spectrum(p, q, knot):
                 assert (v * p).denominator == 1, f"L({p},{q}) {knot} {v}"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 15, f"took {elapsed:.1f}s, limit 15s"
     _report(6, "linking determinants = p (p <= 200), p*rot_Q integral")
 
 

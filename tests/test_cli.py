@@ -399,6 +399,32 @@ def test_usage_error_message(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["unknots", "-x5", "5"], "argument p: invalid int value: '-x5'"),
+        (["unknots", "12", "5", "--struct", "-+"], "unrecognized arguments: --struct -+"),
+        (["mcg", "--", "5", "2"], "mcg takes P Q or s1s2, got -- 5 2"),
+        (["mcg", "-5x", "2"], "invalid literal for int() with base 10: '-5x'"),
+        (["-x5"], "argument command: invalid choice: '-x5' (choose from "),
+        (["farey", "-path", "0", "1"], "argument action: invalid choice: '-path' (choose from "),
+        (["unknots", "12", "5", "--format", "-5"], "argument --format: invalid choice: '-5' ("),
+        (["bypass", "1", "0", "--front=-x"], "argument --front: ignored explicit argument '-x'"),
+        (["unknots", "12", "5", "--bogus=-x"], "unrecognized arguments: --bogus=-x"),
+    ],
+)
+def test_usage_errors_echo_tokens_as_typed(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    # "lensknots <command>: error: " from argparse, "error: " from main
+    assert err.getvalue().splitlines()[-1].split("error: ", 1)[1].startswith(message)
+
+
 def test_bad_slope_exit_code(capsys):
     code = main(["farey", "path", "abc", "0"])
     assert code == 2

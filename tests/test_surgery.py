@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,22 @@ from lensknots.surgery import (
     rot_spectrum,
     solve_exact,
 )
+
+
+def naive_det(m):
+    """Determinant as the signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        prod = 1
+        for i, j in enumerate(perm):
+            prod *= m[i][j]
+            if not prod:
+                break
+        else:
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            total += (-1) ** inversions * prod
+    return total
 
 
 def test_build_chain():
@@ -67,32 +84,70 @@ class TestDeterminant:
                 assert abs(det_bareiss(m)) == p
 
     def test_random_vs_permutation_expansion(self):
-        def naive_det(m):
-            import itertools
-
-            n = len(m)
-            total = 0
-            for perm in itertools.permutations(range(n)):
-                sign = 1
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                prod = 1
-                for i in range(n):
-                    prod *= m[i][perm[i]]
-                total += sign * prod
-            return total
-
         rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randint(1, 5)
-            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            assert det_bareiss(m) == naive_det(m)
+        for zero_share in (0.0, 0.5, 0.8):
+            for _ in range(60):
+                n = rng.randint(1, 7)
+                m = [
+                    [0 if rng.random() < zero_share else rng.randint(-6, 6) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                assert det_bareiss(m) == naive_det(m), m
+
+    def test_empty_and_one_by_one(self):
+        assert det_bareiss([]) == 1 == linking_det(SurgeryChain(()))
+        assert det_bareiss([[-7]]) == -7
+        assert det_bareiss([[0]]) == 0
+
+    @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1, 2]], [[1], [2]], [[1, 2], [3, 4, 5]]])
+    def test_ragged(self, m):
+        with pytest.raises(ValueError, match="square"):
+            det_bareiss(m)
 
     def test_singular(self):
         assert det_bareiss([[1, 2], [2, 4]]) == 0
         assert det_bareiss([[0, 1], [1, 0]]) == -1  # needs a row swap
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # column 1 is twice column 0: the pivot of step 1 is zero in
+            # every row once step 0 is done
+            [[1, 2, 3, 4], [2, 4, 6, 9], [3, 6, 10, 1], [1, 2, 5, 7]],
+            # row 2 is row 0 plus row 1: only the last pivot is zero
+            [[1, 2, 3], [4, 5, 6], [5, 7, 9]],
+            [[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 0, 0], [1, 0, 5, 0]],
+        ],
+    )
+    def test_zero_pivot_after_elimination(self, m):
+        assert det_bareiss(m) == naive_det(m) == 0
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # after step 0, row 1 is zero in column 1 and row 2 is not
+            [[1, 2, 3], [2, 4, 5], [3, 7, 1]],
+            [[2, 1, 0, 0], [4, 2, 1, 0], [0, 1, 0, 3], [0, 0, 3, 1]],
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]],
+        ],
+    )
+    def test_row_swap_after_step_zero(self, m):
+        assert det_bareiss(m) == naive_det(m) != 0
+
+    def test_cramer_shaped(self):
+        # Chain matrices with one column replaced by the meridian's unit
+        # vector, as solve_exact builds them.
+        rng = random.Random(3)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            m = linking_matrix(SurgeryChain(tuple(rng.randint(-6, -2) for _ in range(n))))
+            for unit in {0, n - 1}:
+                for col in range(n):
+                    replaced = [
+                        [int(i == unit) if j == col else row[j] for j, _ in enumerate(row)]
+                        for i, row in enumerate(m)
+                    ]
+                    assert det_bareiss(replaced) == naive_det(replaced), replaced
 
     def test_linking_det_matches_bareiss(self):
         for p, q in lens_pairs(60):
@@ -107,6 +162,22 @@ def test_solve_exact():
     assert x == [Fraction(-2, 5), Fraction(-1, 5)]
     with pytest.raises(ValueError):
         solve_exact([[1, 1], [1, 1]], [1, 0])
+
+
+@pytest.mark.parametrize("rhs", [[1], [1, 0, 0]])
+def test_solve_exact_rejects_a_wrong_length_rhs(rhs):
+    with pytest.raises(ValueError, match="right-hand side must have 2 entries"):
+        solve_exact([[2, 1], [1, 2]], rhs)
+
+
+def test_solve_exact_solves_every_chain():
+    for p, q in lens_pairs(40):
+        for knot in KNOTS:
+            chain = build_chain(p, q, knot)
+            m, lk = linking_matrix(chain), meridian_lk(chain)
+            x = solve_exact(m, lk)
+            mx = [sum(a * xi for a, xi in zip(row, x)) for row in m]
+            assert mx == list(lk), f"L({p},{q}) {knot}"
 
 
 class TestRotation:
