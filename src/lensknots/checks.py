@@ -28,12 +28,24 @@ from .unknots import rot_q_farey, tb_q_peak
 
 
 class CheckResult(_Record):
-    __slots__ = ("name", "passed", "counterexample")
+    """One check family's outcome: `cases` comparisons were made, up to and
+    including the first failure if there is one, in `seconds` of wall time."""
 
-    def __init__(self, name: str, passed: bool, counterexample: str | None = None):
+    __slots__ = ("name", "passed", "counterexample", "cases", "seconds")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        counterexample: str | None = None,
+        cases: int = 0,
+        seconds: float = 0.0,
+    ):
         _set(self, "name", name)
         _set(self, "passed", passed)
         _set(self, "counterexample", counterexample)
+        _set(self, "cases", cases)
+        _set(self, "seconds", seconds)
 
 
 class SweepReport(_Record):
@@ -56,9 +68,19 @@ def lens_pairs(p_max: int):
                 yield p, q
 
 
-def _check(name, failures):
-    first = next(iter(failures), None)
-    return CheckResult(name, first is None, first)
+def _check(name, outcomes):
+    """Run a family's comparisons up to the first failure.  Each item of
+    outcomes is one comparison: None when it holds, else the failure.  A
+    family that makes no comparison fails."""
+    t0 = time.perf_counter()
+    cases, failure = 0, None
+    for failure in outcomes:
+        cases += 1
+        if failure is not None:
+            break
+    if not cases:
+        failure = "no cases"
+    return CheckResult(name, failure is None, failure, cases, time.perf_counter() - t0)
 
 
 def check_sweep(p_max: int) -> SweepReport:
@@ -83,28 +105,26 @@ def check_sweep(p_max: int) -> SweepReport:
 
 
 # Each family takes the {(p, q): enumerate_tight(p, q)} map of check_sweep,
-# in lens_pairs order, and yields its failures smallest first.
+# in lens_pairs order, and yields one item per comparison, smallest first:
+# None where it holds, else the counterexample.
 
 
 def _count_failures(tight):
     for (p, q), classes in tight.items():
-        if len(classes) != count_tight_lens(p, q):
-            yield f"L({p},{q})"
+        yield None if len(classes) == count_tight_lens(p, q) else f"L({p},{q})"
 
 
 def _geodesic_failures(tight):
     for p, q in tight:
         frm, to = Slope(-p, q), Slope(0)
-        if geodesic(frm, to) != bfs_oracle(frm, to, p):
-            yield f"L({p},{q})"
+        yield None if geodesic(frm, to) == bfs_oracle(frm, to, p) else f"L({p},{q})"
 
 
 def _rot_failures(tight):
     for (p, q), classes in tight.items():
         for knot in KNOTS:
             farey_side = sorted(rot_q_farey(ts, knot) for ts in classes)
-            if farey_side != rot_spectrum(p, q, knot):
-                yield f"L({p},{q}) {knot}"
+            yield None if farey_side == rot_spectrum(p, q, knot) else f"L({p},{q}) {knot}"
 
 
 def _edge_weights(p, q, path, base):
@@ -145,11 +165,15 @@ def _block_failures(tight):
             edges = iter(weights[knot])
             if any(len(set(itertools.islice(edges, size))) != 1 for size in blocks):
                 yield f"L({p},{q}) {knot} block weights"
+            else:
+                yield None
         for i, ts in enumerate(classes):
             signs = ts.signs
             for knot in KNOTS:
                 if rot_q_farey(ts, knot) != _edge_sum(p, signs, weights[knot]):
                     yield f"L({p},{q}) class {i} {knot}"
+                else:
+                    yield None
 
 
 def _det_failures(tight):
@@ -161,8 +185,7 @@ def _det_failures(tight):
             m = linking_matrix(build_chain(p, q, knot))
             if m not in dets:
                 dets[m] = abs(det_bareiss(m))
-            if dets[m] != p:
-                yield f"L({p},{q}) {knot}"
+            yield None if dets[m] == p else f"L({p},{q}) {knot}"
 
 
 def _mcg_failures(tight):
@@ -174,19 +197,25 @@ def _mcg_failures(tight):
             yield f"L({p},{q}) iso criterion"
         elif c.order > 1 and (q * q) % p != 1:
             yield f"L({p},{q}) sigma without q^2=1"
-        elif (n := len(unknot_classes(p, q))) < 4:
+        else:
+            yield None
+            if (n := len(unknot_classes(p, q))) >= 4:
+                continue
             # Oriented unknots the table merges share their peaks in every
             # structure, whatever the orientations; a lone k1 has rot 0.
             if tb_q_peak(p, q, "k1") != tb_q_peak(p, q, "k2"):
                 yield f"L({p},{q}) merged unknots with different peak tb"
+            else:
+                yield None
             for i, ts in enumerate(classes):
                 rot1, rot2 = rot_q_farey(ts, "k1"), rot_q_farey(ts, "k2")
                 if abs(rot1) != abs(rot2) or (n == 1 and rot1 != 0):
                     yield f"L({p},{q}) class {i} merged unknots with different peak rot"
+                else:
+                    yield None
 
 
 def _univ_failures(tight):
     for (p, q), classes in tight.items():
         univ = sum(is_universally_tight(ts) for ts in classes)
-        if univ != standard_structures(p, q):
-            yield f"L({p},{q})"
+        yield None if univ == standard_structures(p, q) else f"L({p},{q})"

@@ -77,7 +77,10 @@ def cmd_surgery(args) -> int:
         "det": surgery.linking_det(chain),
     }
     if args.rots is not None:
-        rot = tuple(int(v) for v in args.rots.split(",")) if args.rots else ()
+        try:
+            rot = tuple(int(v) for v in args.rots.split(",")) if args.rots else ()
+        except ValueError:
+            raise ValueError(f"--rots takes comma-separated integers, got {args.rots!r}") from None
         out["rot_q"] = str(surgery.rot_q_surgery(chain, [rot])[0])
     else:
         out["spectrum"] = [str(v) for v in surgery.rot_spectrum(args.p, args.q, args.knot)]
@@ -180,7 +183,12 @@ def cmd_check(args) -> int:
     report = check_sweep(args.pmax)
     if args.format == "json":
         checks = [
-            {"name": c.name, "passed": c.passed, "counterexample": c.counterexample}
+            {
+                "name": c.name,
+                "passed": c.passed,
+                "counterexample": c.counterexample,
+                "cases": c.cases,
+            }
             for c in report.checks
         ]
         print(json.dumps({"p_max": report.p_max, "checks": checks}))

@@ -82,31 +82,6 @@ def geodesic(start: Slope, stop: Slope) -> list[Slope]:
     return path
 
 
-def _neighbors_bounded(n: int, d: int, den_bound: int, value_bound: int) -> list[tuple[int, int]]:
-    """The Farey neighbors v of the reduced n/d (d >= 0, 1/0 = inf) with
-    denominator <= den_bound and |v| <= value_bound, inf always included,
-    as reduced (num, den) pairs.  For inf these are the integers k with
-    |k| <= value_bound (when den_bound >= 1)."""
-    _, x, y = _egcd(n, d)
-    c, dd = y, -x  # n*dd - d*c == -1, as in neighbor_family
-    out = []
-    if d == 0:
-        # Neighbors of infinity are the integers.
-        lo, hi = -value_bound, value_bound
-    else:
-        lo = _ceil_div(-den_bound - dd, d)
-        hi = (den_bound - dd) // d
-    for k in range(lo, hi + 1):
-        vn, vd = c + k * n, dd + k * d
-        if vd < 0:
-            vn, vd = -vn, -vd
-        elif vd == 0:
-            vn = 1
-        if vd <= den_bound and (vd == 0 or abs(vn) <= value_bound * vd):
-            out.append((vn, vd))
-    return out
-
-
 def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
     """Breadth-first shortest path from start to stop over the explicit
     Farey graph on inf and the slopes of denominator <= den_bound and
@@ -119,33 +94,57 @@ def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
     an endpoint, at most m in absolute value.  The graph is finite, so the
     search ends even when stop is out of reach.
 
-    Vertices are (num, den) pairs; a candidate v is admissible when it is
-    stop or when start, v, stop sit in clockwise order, the in_arc test
-    written out on the pairs' cross-determinants."""
+    A vertex n/d (d >= 0, inf = 1/0) is queued with a neighbor c/e such
+    that n*e - d*c == -1; its neighbors are then (c + k*n)/(e + k*d) over
+    the integers k, swept in increasing k.  Only start needs _egcd for c/e:
+    every other vertex takes it from the edge it was reached by.  For inf,
+    e == -1 and k runs so that the integers m, m-1, ..., -m come out.  A
+    candidate is admissible when it is stop or when start, it, stop sit in
+    clockwise order, the in_arc test written out on cross-determinants.
+    The search ends when stop is first reached, which is when its
+    predecessor on the path is fixed."""
     if start == stop:
         raise ValueError("degenerate arc: endpoints coincide")
     sn, sd = start.num, start.den
     tn, td = stop.num, stop.den
     orient = tn * sd - td * sn  # farey_mul(stop, start)
-    value_bound = max(abs(sn), abs(tn))
-    init = (sn, sd)
-    goal = (tn, td)
-    prev = {init: None}
-    queue = deque([init])
+    m = max(abs(sn), abs(tn))
+    # Vertices are keyed by num*base + den; base exceeds every denominator.
+    base = max(den_bound, sd, td) + 1
+    goal = tn * base + td
+    _, x, y = _egcd(sn, sd)
+    prev = {sn * base + sd: None}
+    queue = deque([(sn, sd, y, -x)])
     while queue:
-        cur = queue.popleft()
-        if cur == goal:
-            out = []
-            node = cur
-            while node is not None:
-                out.append(Slope(*node))
-                node = prev[node]
-            return list(reversed(out))
-        for nb in _neighbors_bounded(cur[0], cur[1], den_bound, value_bound):
-            if nb in prev:
-                continue
-            n, d = nb
-            if nb == goal or (sn * d - sd * n) * (n * td - d * tn) * orient > 0:
-                prev[nb] = cur
-                queue.append(nb)
+        n, d, c, e = queue.popleft()
+        cur = n * base + d
+        if d:
+            # The k with |e + k*d| <= den_bound.
+            lo = -((den_bound + e) // d)
+            vn, vd = c + lo * n, e + lo * d
+            count = (den_bound - e) // d - lo + 1
+        else:
+            vn, vd = -m, e
+            count = 2 * m + 1 if den_bound > 0 else 0
+        for _ in range(count):
+            # (vn, vd) is reduced, with n*vd - d*vn == -1; its sign is fixed
+            # only for the key, as the tests below do not depend on it.  When
+            # vd == 0 it is (1, 0).
+            key = vn * base + vd if vd >= 0 else -vn * base - vd
+            if key not in prev and (
+                key == goal
+                or (abs(vn) <= m * abs(vd) or not vd)
+                and (sn * vd - sd * vn) * (vn * td - vd * tn) * orient > 0
+            ):
+                prev[key] = cur
+                if key == goal:
+                    path = []
+                    while key is not None:
+                        path.append(Slope(*divmod(key, base)))
+                        key = prev[key]
+                    return path[::-1]
+                # Queued with n/d, signed so that the cross-determinant is -1.
+                queue.append((vn, vd, -n, -d) if vd >= 0 else (-vn, -vd, n, d))
+            vn += n
+            vd += d
     raise ValueError(f"denominator bound {den_bound} too small to reach {stop}")

@@ -10,6 +10,7 @@ integer elimination; no floats.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .slopes import Slope, _Record, _set, cf_matrix_identity, neg_cf, require_lens_pair
@@ -59,13 +60,16 @@ def build_chain(p: int, q: int, knot: str = "k1") -> SurgeryChain:
 def linking_matrix(chain: SurgeryChain) -> tuple[tuple[int, ...], ...]:
     """Tridiagonal linking matrix: framings on the diagonal, 1 off it."""
     n = len(chain.framings)
-    return tuple(
-        tuple(
-            chain.framings[i] if i == j else (1 if abs(i - j) == 1 else 0)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    rows = []
+    for i, r in enumerate(chain.framings):
+        row = [0] * n
+        row[i] = r
+        if i:
+            row[i - 1] = 1
+        if i + 1 < n:
+            row[i + 1] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def linking_det(chain: SurgeryChain) -> int:
@@ -142,25 +146,25 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
         raise ValueError("singular linking matrix")
     out = []
     for col in range(n):
-        replaced = [
-            [rhs[i] if j == col else matrix[i][j] for j in range(n)]
-            for i in range(n)
-        ]
+        replaced = [[*row[:col], b, *row[col + 1 :]] for row, b in zip(matrix, rhs)]
         out.append(Fraction(det_bareiss(replaced), d))
     return out
 
 
 def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
-    rots (each one that rot_choices lists); M^-1 . lk is solved once."""
+    rots (each one that rot_choices lists); M^-1 . lk is solved once and
+    put over one denominator, so each vector's sum is over integers."""
     x = solve_exact(linking_matrix(chain), meridian_lk(chain))
+    den = math.lcm(*(xi.denominator for xi in x))
+    nums = [xi.numerator * (den // xi.denominator) for xi in x]
     out = []
     for rot in rots:
         if len(rot) != len(chain.framings):
             raise ValueError("wrong number of rotation numbers")
         if any(abs(v) > -r - 2 or (v - r) % 2 for v, r in zip(rot, chain.framings)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
-        out.append(-sum(v * xi for v, xi in zip(rot, x)))
+        out.append(Fraction(-sum(v * num for v, num in zip(rot, nums)), den))
     return out
 
 

@@ -98,7 +98,8 @@ def test_det_family_checks_each_knot(monkeypatch):
         return m if chain.meridian_of == "first" else tuple(tuple(2 * v for v in row) for row in m)
 
     monkeypatch.setattr(checks, "linking_matrix", doubled_k2)
-    assert list(checks._det_failures({(5, 2): [], (7, 3): []})) == ["L(5,2) k2", "L(7,3) k2"]
+    outcomes = list(checks._det_failures({(5, 2): [], (7, 3): []}))
+    assert outcomes == [None, "L(5,2) k2", None, "L(7,3) k2"]
 
 
 def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
@@ -129,3 +130,27 @@ def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):
     assert failures["MCG divisibility and iso criterion"] == (
         "L(2,1) class 0 merged unknots with different peak rot"
     )
+
+
+def test_sweep_counts_the_cases_of_each_family():
+    counts = {c.name: c.cases for c in check_sweep(20).checks}
+    pairs = len(list(lens_pairs(20)))
+    assert pairs == 127
+    assert counts["geodesic vs BFS oracle"] == pairs
+    assert counts["rotation numbers: Farey vs surgery"] == 2 * pairs
+    assert counts["linking matrix determinant = p"] == 2 * pairs
+    assert counts["tight-count formula vs enumeration"] == pairs
+    assert counts["universally tight counts"] == pairs
+    assert all(c.seconds >= 0 for c in check_sweep(5).checks)
+
+
+def test_a_family_stops_counting_at_its_first_failure():
+    result = checks._check("family", iter([None, None, "L(5,2)", None, "L(7,3)"]))
+    assert (result.passed, result.counterexample, result.cases) == (False, "L(5,2)", 3)
+    assert checks._check("family", iter([None] * 4)).cases == 4
+
+
+def test_a_family_without_cases_fails():
+    result = checks._check("family", iter(()))
+    assert (result.passed, result.counterexample, result.cases) == (False, "no cases", 0)
+    assert not checks._check("geodesic", checks._geodesic_failures({})).passed

@@ -365,6 +365,18 @@ def test_check_json(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_check_json_counts_cases(capsys):
+    # Nine lens spaces have p <= 5: one BFS case each, two surgery cases.
+    _, text = run(capsys, "check", "--pmax", "5")
+    code, out = run(capsys, "check", "--pmax", "5", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["cases"] for c in checks][1:3] == [9, 18]
+    assert all(set(c) == {"name", "passed", "counterexample", "cases"} for c in checks)
+    # The text lines carry no counts.
+    assert text.splitlines() == [f"{c['name']}: PASS" for c in checks]
+
+
 def test_check_json_is_deterministic(capsys):
     first = run(capsys, "check", "--pmax", "5", "--format", "json")
     assert first == run(capsys, "check", "--pmax", "5", "--format", "json")
@@ -411,6 +423,8 @@ def test_usage_error_message(capsys, argv):
         (["unknots", "12", "5", "--format", "-5"], "argument --format: invalid choice: '-5' ("),
         (["bypass", "1", "0", "--front=-x"], "argument --front: ignored explicit argument '-x'"),
         (["unknots", "12", "5", "--bogus=-x"], "unrecognized arguments: --bogus=-x"),
+        (["surgery", "5", "2", "--rots", "1,x"], "--rots takes comma-separated integers, got '1,x'"),
+        (["surgery", "5", "2", "--rots=-1,,1"], "--rots takes comma-separated integers, got '-1,,1'"),
     ],
 )
 def test_usage_errors_echo_tokens_as_typed(argv, message):

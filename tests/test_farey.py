@@ -1,12 +1,13 @@
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensknots.farey import (
-    _neighbors_bounded,
+    _egcd,
     bfs_oracle,
     farthest_neighbor,
     geodesic,
@@ -151,14 +152,102 @@ def test_bfs_oracle_at_infinity():
     assert bfs_oracle(INFINITY, Slope(-6), 1) == [INFINITY, Slope(-6)]
 
 
-def test_neighbors_bounded_lists_what_it_states():
+def reference_neighbors(n, d, den_bound, value_bound):
+    """The Farey neighbors v of the reduced n/d (d >= 0, 1/0 = inf) with
+    denominator <= den_bound and |v| <= value_bound, inf always included,
+    as reduced (num, den) pairs, from a fresh _egcd family of n/d."""
+    _, x, y = _egcd(n, d)
+    c, e = y, -x  # n*e - d*c == -1
+    if d == 0:
+        lo, hi = -value_bound, value_bound
+    else:
+        lo, hi = -((den_bound + e) // d), (den_bound - e) // d
+    for k in range(lo, hi + 1):
+        vn, vd = c + k * n, e + k * d
+        if vd < 0:
+            vn, vd = -vn, -vd
+        elif vd == 0:
+            vn = 1
+        if vd <= den_bound and (vd == 0 or abs(vn) <= value_bound * vd):
+            yield vn, vd
+
+
+def reference_bfs(start, stop, den_bound):
+    """bfs_oracle's search written plainly: a fresh neighbor family per
+    vertex, and the search ends when stop leaves the queue."""
+    if start == stop:
+        raise ValueError("degenerate arc: endpoints coincide")
+    sn, sd = start.num, start.den
+    tn, td = stop.num, stop.den
+    orient = tn * sd - td * sn
+    value_bound = max(abs(sn), abs(tn))
+    goal = (tn, td)
+    prev = {(sn, sd): None}
+    queue = deque([(sn, sd)])
+    while queue:
+        cur = queue.popleft()
+        if cur == goal:
+            path = []
+            while cur is not None:
+                path.append(Slope(*cur))
+                cur = prev[cur]
+            return path[::-1]
+        for n, d in reference_neighbors(*cur, den_bound, value_bound):
+            if (n, d) not in prev and (
+                (n, d) == goal or (sn * d - sd * n) * (n * td - d * tn) * orient > 0
+            ):
+                prev[n, d] = cur
+                queue.append((n, d))
+    raise ValueError(f"denominator bound {den_bound} too small to reach {stop}")
+
+
+def test_reference_neighbors_lists_what_it_states():
     # inf: the integers up to the value bound.  3: inf, 2 and 4 have
     # denominator <= 1, and value bound 3 drops 4.  -5/2: -3, -8/3, -7/3
     # and -2 have denominator <= 3, and value bound 2 keeps only -2.
-    assert sorted(_neighbors_bounded(1, 0, 2, 3)) == [(k, 1) for k in range(-3, 4)]
-    assert sorted(_neighbors_bounded(3, 1, 1, 3)) == [(1, 0), (2, 1)]
-    assert sorted(_neighbors_bounded(-5, 2, 3, 3)) == [(-8, 3), (-7, 3), (-3, 1), (-2, 1)]
-    assert _neighbors_bounded(-5, 2, 3, 2) == [(-2, 1)]
+    assert sorted(reference_neighbors(1, 0, 2, 3)) == [(k, 1) for k in range(-3, 4)]
+    assert sorted(reference_neighbors(3, 1, 1, 3)) == [(1, 0), (2, 1)]
+    assert sorted(reference_neighbors(-5, 2, 3, 3)) == [(-8, 3), (-7, 3), (-3, 1), (-2, 1)]
+    assert list(reference_neighbors(-5, 2, 3, 2)) == [(-2, 1)]
+
+
+def _outcome(search, start, stop, den_bound):
+    try:
+        return search(start, stop, den_bound)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_bfs_oracle_matches_the_reference_on_every_arc():
+    # Every ordered pair of slopes with |num| <= 9 and den <= 5, at bounds
+    # from below the endpoints' denominators to above them: the same path,
+    # or the same error where stop is out of reach.
+    slopes = sorted({Slope(n, d) for n in range(-9, 10) for d in range(6) if (n, d) != (0, 0)}, key=str)
+    arcs = unreachable = 0
+    for bound in (1, 2, 3, 5, 8):
+        for start in slopes:
+            for stop in slopes:
+                if start == stop:
+                    continue
+                expected = _outcome(reference_bfs, start, stop, bound)
+                assert _outcome(bfs_oracle, start, stop, bound) == expected, (start, stop, bound)
+                arcs += 1
+                unreachable += isinstance(expected, str)
+    assert arcs == 22780
+    assert 0 < unreachable < arcs
+
+
+def test_bfs_oracle_matches_the_reference_on_lens_arcs():
+    # -p/q -> 0 at the bound the sweep uses, and at bounds below q, where
+    # start's own denominator is above the bound.
+    for p in range(2, 41):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            for bound in {p, q - 1, q // 2, 1}:
+                start = Slope(-p, q)
+                expected = _outcome(reference_bfs, start, ZERO, bound)
+                assert _outcome(bfs_oracle, start, ZERO, bound) == expected, (p, q, bound)
 
 
 def test_bfs_oracle_bound_too_small():

@@ -128,7 +128,7 @@ def test_copy_and_pickle_keep_the_value(cls):
 def test_reprs():
     assert repr(Slope(-12, 5)) == "Slope(-12/5)"
     assert repr(CheckResult("count", True)) == (
-        "CheckResult(name='count', passed=True, counterexample=None)"
+        "CheckResult(name='count', passed=True, counterexample=None, cases=0, seconds=0.0)"
     )
     assert repr(SurgeryChain((-3, -2))) == "SurgeryChain(framings=(-3, -2), meridian_of='first')"
     assert repr(TorusState(Slope(1, 2))) == "TorusState(dividing_slope=Slope(1/2), num_dividing=2)"

@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import lensknots
+from lensknots import farey, surgery
 
 
 def test_library_has_no_assert():
@@ -58,3 +59,35 @@ def test_all_lists_the_public_names():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert set(names) == public
+
+
+def _names_reached(module, entry):
+    """Every name that the module-level function `entry` reads, by itself or
+    through the module's functions it names, transitively."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, todo = set(), [entry]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in functions and name not in names and name != entry:
+                todo.append(name)
+            names.add(name)
+    return names
+
+
+def test_oracles_stay_independent():
+    """The BFS oracle never uses the geodesic it checks, and the generic
+    determinant and solver never use the continued fraction that the
+    linking determinant is computed from."""
+    assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
+    assert {"geodesic", "farthest_neighbor"} & _names_reached(farey, "bfs_oracle") == set()
+    assert "cf_matrix_identity" in _names_reached(surgery, "linking_det")
+    for oracle in ("det_bareiss", "solve_exact"):
+        reached = _names_reached(surgery, oracle)
+        assert {"cf_matrix_identity", "linking_det", "neg_cf"} & reached == set(), oracle

@@ -180,6 +180,25 @@ def test_solve_exact_solves_every_chain():
             assert mx == list(lk), f"L({p},{q}) {knot}"
 
 
+def test_solve_exact_reads_list_and_tuple_rows_alike():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if det_bareiss(m) == 0:
+            continue
+        rhs = [rng.randint(-3, 3) for _ in range(n)]
+        x = solve_exact(m, rhs)
+        assert solve_exact([tuple(row) for row in m], tuple(rhs)) == x
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == rhs
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [(1, 2), (3, 4, 5)], ((1,), (2,))])
+def test_solve_exact_rejects_a_ragged_matrix(m):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        solve_exact(m, [1] * len(m))
+
+
 class TestRotation:
     def test_single_component(self):
         # L(3,1): chain (-3), meridian rot = -rot1 * (1 / -3)
@@ -192,6 +211,17 @@ class TestRotation:
             with pytest.raises(ValueError):
                 rot_q_surgery(chain, [rot])
         assert rot_q_surgery(chain, []) == []
+
+    def test_matches_the_sum_over_solve_exact(self):
+        # -sum rot_i * x_i over solve_exact's fractions, for every rotation
+        # vector of every chain with p <= 40.
+        for p, q in lens_pairs(40):
+            for knot in KNOTS:
+                chain = build_chain(p, q, knot)
+                x = solve_exact(linking_matrix(chain), meridian_lk(chain))
+                rots = rot_choices(chain)
+                expected = [-sum(v * xi for v, xi in zip(rot, x)) for rot in rots]
+                assert rot_q_surgery(chain, rots) == expected, f"L({p},{q}) {knot}"
 
     def test_one_solve_per_spectrum(self, monkeypatch):
         calls = []
