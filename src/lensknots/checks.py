@@ -127,19 +127,18 @@ def _rot_failures(tight):
             yield None if farey_side == rot_spectrum(p, q, knot) else f"L({p},{q}) {knot}"
 
 
-def _edge_weights(p, q, path, base):
-    """Weight of every decorated edge a -> b of the path, from its own
-    endpoints: the componentwise (unreduced) difference, taken with negative
-    numerators and positive denominators, crossed with -p/q for k1 and with
-    0/1 for k2."""
-    out = []
+def _edge_weights(path):
+    """Weights of every decorated edge a -> b of the path, from its own
+    endpoints, for k1 and for k2: the componentwise (unreduced) difference
+    a - b, taken with negative numerators and positive denominators,
+    crossed with the core's own end of the path, path[0] = -p/q for k1 and
+    path[-1] = 0/1 for k2."""
+    out = ([], [])
     for a, b in zip(path[1:-2], path[2:-1]):
         if a.num >= 0 or b.num >= 0:
             raise ValueError("decorated-path vertices must be negative")
-        if base == "k1":
-            out.append((a.num - b.num) * q - (a.den - b.den) * (-p))
-        else:
-            out.append(b.num - a.num)
+        for weights, end in zip(out, (path[0], path[-1])):
+            weights.append((a.num - b.num) * end.den - (a.den - b.den) * end.num)
     return out
 
 
@@ -153,17 +152,18 @@ def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Oracle for unknots.rot_q_farey: the signed sum over every decorated
     edge, one term per edge, without the shuffle blocks."""
     i, sign = _knot(knot)
-    return sign * _edge_sum(ts.p, ts.signs, _edge_weights(ts.p, ts.q, ts.path, KNOTS[i]))
+    return sign * _edge_sum(ts.p, ts.signs, _edge_weights(ts.path)[i])
 
 
 def _block_failures(tight):
     for (p, q), classes in tight.items():
         path = classes[0].path
-        weights = {knot: _edge_weights(p, q, path, knot) for knot in KNOTS}
-        blocks = block_partition(path)
+        weights = dict(zip(KNOTS, _edge_weights(path)))
+        blocks = block_partition(path)  # the shuffle criterion, against the runs
+        runs = tuple(blocks) == classes[0].blocks
         for knot in KNOTS:
             edges = iter(weights[knot])
-            if any(len(set(itertools.islice(edges, size))) != 1 for size in blocks):
+            if not runs or any(len(set(itertools.islice(edges, size))) != 1 for size in blocks):
                 yield f"L({p},{q}) {knot} block weights"
             else:
                 yield None
@@ -202,14 +202,14 @@ def _mcg_failures(tight):
             if (n := len(unknot_classes(p, q))) >= 4:
                 continue
             # Oriented unknots the table merges share their peaks in every
-            # structure, whatever the orientations; a lone k1 has rot 0.
+            # structure: k2 is k1 where they merge, and a lone k1 has rot 0.
             if tb_q_peak(p, q, "k1") != tb_q_peak(p, q, "k2"):
                 yield f"L({p},{q}) merged unknots with different peak tb"
             else:
                 yield None
             for i, ts in enumerate(classes):
                 rot1, rot2 = rot_q_farey(ts, "k1"), rot_q_farey(ts, "k2")
-                if abs(rot1) != abs(rot2) or (n == 1 and rot1 != 0):
+                if rot1 != rot2 or (n == 1 and rot1 != 0):
                     yield f"L({p},{q}) class {i} merged unknots with different peak rot"
                 else:
                     yield None

@@ -30,10 +30,6 @@ def decorated_path(p: int, q: int) -> list[Slope]:
     return geodesic(Slope(-p, q), Slope(0))
 
 
-def decorated_edge_count(path: list[Slope]) -> int:
-    return len(path) - 3
-
-
 def block_partition(path: list[Slope]) -> list[int]:
     """Sizes of the maximal runs of decorated edges that shuffle with their
     neighbors.
@@ -42,7 +38,7 @@ def block_partition(path: list[Slope]) -> list[int]:
     consecutive ones shuffle when the endpoints around their shared vertex
     have cross-determinant of absolute value 2.
     """
-    n_dec = decorated_edge_count(path)
+    n_dec = len(path) - 3
     if n_dec <= 0:
         return []
     blocks = [1]
@@ -93,24 +89,23 @@ class Decoration(_Record):
 def decoration(p: int, q: int) -> Decoration:
     """The shared data of the tight structures on L(p,q).
 
-    Inside a block every edge vector is the same, since each inner vertex
-    is the unreduced mediant of its two neighbors (cross-determinant 2), so
-    a block's step is that of its first edge.  Decorated-path vertices carry
-    negative numerators and positive denominators, and the steps are taken
-    componentwise in that form.
+    A shuffle block is a maximal run of decorated edges with one edge
+    vector b - a: consecutive edges a -> b -> c share it exactly when
+    c = 2b - a, that is when a and c have cross-determinant ±2, which is the
+    shuffle criterion (block_partition).  Decorated-path vertices carry
+    negative numerators and positive denominators, and the edge vectors are
+    taken componentwise in that form.
     """
     path = tuple(decorated_path(p, q))
     if any(v.num >= 0 for v in path[1:-1]):
         raise ValueError("decorated-path vertices must be negative")
-    blocks = tuple(block_partition(path))
-    steps = []
-    first = 1  # decorated edges start at the second path edge
-    for size in blocks:
-        a, b = path[first], path[first + 1]
-        steps.append((b.num - a.num, b.den - a.den))
-        first += size
+    vectors = [(b.num - a.num, b.den - a.den) for a, b in zip(path[1:-2], path[2:-1])]
+    blocks, steps = [], []
+    for step, run in itertools.groupby(vectors):
+        steps.append(step)
+        blocks.append(len(list(run)))
     knots = tuple(unknot_classes(p, q))
-    return Decoration(p, q, path, blocks, tuple(steps), peak_tb(p, q), knots)
+    return Decoration(p, q, path, tuple(blocks), tuple(steps), peak_tb(p, q), knots)
 
 
 class ShuffleClass(_Record):

@@ -27,13 +27,14 @@ def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
     """p times rot_Q of the peak k1 and of the peak k2 in the structure,
     in one pass over the shuffle blocks of its Farey path.
 
-    Every decorated edge of a block has the same edge vector (dnum, dden),
+    Every decorated edge a -> b of a block has the same edge vector b - a,
     the componentwise difference of its endpoint fractions taken with
-    negative numerators and positive denominators.  Paired against -p/q for
-    k1 and against 0 for k2 it gives the block's weight w, and a block with
-    plus_b of its size_b signs positive contributes (2 plus_b - size_b) w.
-    Both pairings are linear, so the signed edge vectors are summed first.
-    Structures without decorated edges give 0.
+    negative numerators and positive denominators.  A core's block weight
+    w is the signed vector a - b crossed with that core's own end of the
+    path, -p/q for k1 and 0/1 for k2, and a block with plus_b of its size_b
+    signs positive contributes (2 plus_b - size_b) w.  Both pairings are
+    linear, so the signed edge vectors are summed first.  Structures
+    without decorated edges give 0.
     """
     d = ts.decoration
     snum = sden = 0
@@ -41,8 +42,8 @@ def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
         signed = 2 * plus - size
         snum += signed * dnum
         sden += signed * dden
-    # (a - b) crossed with -p/q for k1, (b - a) crossed with 0/1 for k2
-    return -snum * d.q - sden * d.p, snum
+    # (a - b) = (-snum, -sden) crossed with (-p, q) and with (0, 1)
+    return -snum * d.q - sden * d.p, -snum
 
 
 def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:

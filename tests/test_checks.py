@@ -71,6 +71,14 @@ def test_block_family_catches_a_block_with_two_weights(monkeypatch):
     assert _failures(12) == {"rotation numbers: blocks vs edges": "L(8,3) k1 block weights"}
 
 
+def test_block_family_catches_a_block_split_into_singletons(monkeypatch):
+    # Singletons keep every weight constant on its block and leave the class
+    # sums alone; only the comparison of the shuffle criterion with the
+    # decoration's runs sees the split. L(4,1) has one block of two edges.
+    monkeypatch.setattr(checks, "block_partition", lambda path: [1] * max(len(path) - 3, 0))
+    assert _failures(6) == {"rotation numbers: blocks vs edges": "L(4,1) k1 block weights"}
+
+
 def test_det_family_runs_one_bareiss_per_lens_space(monkeypatch):
     calls = []
     det_bareiss = checks.det_bareiss
@@ -130,6 +138,31 @@ def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):
     assert failures["MCG divisibility and iso criterion"] == (
         "L(2,1) class 0 merged unknots with different peak rot"
     )
+
+
+def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
+    # Where the table merges k1 with k2, k2 is k1 itself, not its reverse.
+    # Negating k2's rot keeps |rot(k2)| = |rot(k1)| in every merged class,
+    # so a clause on |rot| passes it; the clause on rot fails it first on
+    # L(3,1), where k1 and k2 merge and the classes have rot +-1/3.
+    rot_q_farey = checks.rot_q_farey
+
+    def negated_k2(ts, knot="k1"):
+        rot = rot_q_farey(ts, knot)
+        return -rot if knot == "k2" else rot
+
+    tight = {(p, q): checks.enumerate_tight(p, q) for p, q in lens_pairs(8)}
+    merged = [
+        ts
+        for (p, q), classes in tight.items()
+        if len(checks.unknot_classes(p, q)) < 4
+        for ts in classes
+    ]
+    assert all(abs(negated_k2(ts, "k1")) == abs(negated_k2(ts, "k2")) for ts in merged)
+    assert checks._check("mcg", checks._mcg_failures(tight)).passed
+    monkeypatch.setattr(checks, "rot_q_farey", negated_k2)
+    result = checks._check("mcg", checks._mcg_failures(tight))
+    assert result.counterexample == "L(3,1) class 0 merged unknots with different peak rot"
 
 
 def test_sweep_counts_the_cases_of_each_family():

@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import lensknots
-from lensknots import farey, surgery
+from lensknots import farey, surgery, tight
 
 
 def test_library_has_no_assert():
@@ -82,12 +82,17 @@ def _names_reached(module, entry):
 
 
 def test_oracles_stay_independent():
-    """The BFS oracle never uses the geodesic it checks, and the generic
+    """The BFS oracle never uses the geodesic it checks, the generic
     determinant and solver never use the continued fraction that the
-    linking determinant is computed from."""
+    linking determinant is computed from, and the decoration reads its
+    blocks from runs of edge vectors, never from the shuffle criterion
+    that checks them."""
     assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
     assert {"geodesic", "farthest_neighbor"} & _names_reached(farey, "bfs_oracle") == set()
     assert "cf_matrix_identity" in _names_reached(surgery, "linking_det")
     for oracle in ("det_bareiss", "solve_exact"):
         reached = _names_reached(surgery, oracle)
         assert {"cf_matrix_identity", "linking_det", "neg_cf"} & reached == set(), oracle
+    reached = _names_reached(tight, "decoration")
+    assert "groupby" in reached
+    assert {"block_partition", "farey_mul"} & reached == set()

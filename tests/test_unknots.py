@@ -7,9 +7,16 @@ from lensknots import mcg
 from lensknots.checks import rot_q_edges
 from lensknots.mcg import unknot_classes
 from lensknots.slopes import dual_fraction
-from lensknots.surgery import ORIENTED_KNOTS, rot_spectrum
+from lensknots.surgery import (
+    ORIENTED_KNOTS,
+    build_chain,
+    rot_choices,
+    rot_q_surgery,
+    rot_spectrum,
+)
 from lensknots.tight import (
     ShuffleClass,
+    block_partition,
     class_from_signs,
     decorated_path,
     decoration,
@@ -117,16 +124,64 @@ class TestHeegaardSwap:
             assert k2 == k1, (p, q)
 
     def test_rotation_per_class(self):
-        # The swap reverses the decorated path and exchanges the signs.
-        swap = str.maketrans("+-", "-+")
+        # The swap reverses the decorated path, and with it the sign string.
         classes = 0
         for p, q in lens_pairs(30):
             for ts in enumerate_tight(p, q):
-                signs = ts.sign_string[::-1].translate(swap)
-                dual = class_from_signs(p, _heegaard_dual(p, q), signs)
+                dual = class_from_signs(p, _heegaard_dual(p, q), ts.sign_string[::-1])
                 assert rot_q_farey(ts, "k2") == rot_q_farey(dual, "k1"), (p, q, ts.sign_string)
                 classes += 1
         assert classes == 1741
+
+    def test_surgery_side_is_the_reversed_chain(self):
+        # On the surgery side the swap reverses the chain and the rotation
+        # vector: k2 of L(p,q) is k1 of L(p,q*) read backwards.
+        vectors = 0
+        for p, q in lens_pairs(30):
+            k2 = build_chain(p, q, "k2")
+            k1 = build_chain(p, _heegaard_dual(p, q), "k1")
+            assert k1.framings == k2.framings[::-1], (p, q)
+            rots = rot_choices(k2)
+            assert rot_q_surgery(k2, rots) == rot_q_surgery(k1, [v[::-1] for v in rots]), (p, q)
+            vectors += len(rots)
+        assert vectors == 1741
+
+
+def _rotation_vector(ts):
+    """The chain rotation vector of a tight structure: the shuffle blocks, in
+    path order, are the chain components framed r_i <= -3 in reverse chain
+    order, a block with c of its signs positive has rot_i = -(2c - size),
+    and every -2 component has rot_i = 0."""
+    counts = iter(reversed(ts.plus_counts))
+    sizes = iter(reversed(ts.blocks))
+    out = []
+    for r in build_chain(ts.p, ts.q).framings:
+        if r == -2:
+            out.append(0)
+        else:
+            size = next(sizes)
+            if size != -r - 2:
+                raise ValueError(f"block of size {size} on a component framed {r}")
+            out.append(size - 2 * next(counts))
+    if next(sizes, None) is not None:
+        raise ValueError("more blocks than components framed <= -3")
+    return tuple(out)
+
+
+class TestFareyIsSurgery:
+    def test_class_by_class(self):
+        # Each tight structure is Legendrian surgery on the chain with its
+        # rotation vector, and both sides give it the same rot_Q.
+        comparisons = 0
+        for p, q in lens_pairs(40):
+            classes = enumerate_tight(p, q)
+            vectors = [_rotation_vector(ts) for ts in classes]
+            assert len(set(vectors)) == len(classes), (p, q)
+            for knot in ("k1", "k2"):
+                surgery_side = rot_q_surgery(build_chain(p, q, knot), vectors)
+                assert surgery_side == [rot_q_farey(ts, knot) for ts in classes], (p, q, knot)
+                comparisons += len(classes)
+        assert comparisons == 7516
 
 
 class TestRotation:
@@ -152,6 +207,7 @@ class TestRotation:
     def test_block_edge_vectors_are_constant(self):
         for p, q in lens_pairs(120):
             d = decoration(p, q)
+            assert d.blocks == tuple(block_partition(d.path)), f"L({p},{q})"
             first = 1
             for size, step in zip(d.blocks, d.steps, strict=True):
                 for a, b in zip(d.path[first : first + size], d.path[first + 1 :]):
@@ -242,8 +298,8 @@ class TestClassification:
         assert transverse_classification(5, 2, ts) == [
             Fraction(-1),
             Fraction(-1, 5),
-            Fraction(-1, 5),
             Fraction(-3, 5),
+            Fraction(-1, 5),
         ]
 
     def test_structure_must_live_on_the_lens_space(self):
