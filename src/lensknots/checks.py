@@ -7,18 +7,16 @@ class index) instead of raising, so the CLI can show it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
-from .slopes import Slope, _Record, _set
-from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_matrix, rot_spectrum
+from .slopes import Slope, _Record, _set, farey_mul
+from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_matrix, rot_q_surgery
 from .tight import (
     ShuffleClass,
-    block_partition,
     count_tight_lens,
     enumerate_tight,
     is_universally_tight,
@@ -122,9 +120,43 @@ def _geodesic_failures(tight):
 
 def _rot_failures(tight):
     for (p, q), classes in tight.items():
+        framings = build_chain(p, q).framings
+        # The shuffle blocks, in path order, sit on the components framed
+        # r_i <= -3 in reverse chain order: a block with c plus signs has
+        # rot_i = size - 2c, and a -2 component has rot_i = 0.
+        slots = [i for i in reversed(range(len(framings))) if framings[i] < -2]
+        fits = [-framings[i] - 2 for i in slots] == list(classes[0].blocks)
+        vectors = []
+        for ts in classes:
+            rot = [0] * len(framings)
+            for i, size, plus in zip(slots, ts.blocks, ts.plus_counts):
+                rot[i] = size - 2 * plus
+            vectors.append(tuple(rot))
         for knot in KNOTS:
-            farey_side = sorted(rot_q_farey(ts, knot) for ts in classes)
-            yield None if farey_side == rot_spectrum(p, q, knot) else f"L({p},{q}) {knot}"
+            farey_side = [rot_q_farey(ts, knot) for ts in classes]
+            holds = fits and rot_q_surgery(build_chain(p, q, knot), vectors) == farey_side
+            yield None if holds else f"L({p},{q}) {knot}"
+
+
+def block_partition(path: list[Slope]) -> list[int]:
+    """Sizes of the maximal runs of decorated edges that shuffle with their
+    neighbors: the oracle of the decoration's runs of one edge vector.
+
+    Decorated edges are indexed by their initial vertex, 1..len(path)-3; two
+    consecutive ones shuffle when the endpoints around their shared vertex
+    have cross-determinant of absolute value 2.
+    """
+    n_dec = len(path) - 3
+    if n_dec <= 0:
+        return []
+    blocks = [1]
+    for i in range(1, n_dec):
+        # decorated edges i and i+1 run between path[i..i+1] and path[i+1..i+2]
+        if abs(farey_mul(path[i], path[i + 2])) == 2:
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    return blocks
 
 
 def _edge_weights(path):
@@ -158,15 +190,10 @@ def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
 def _block_failures(tight):
     for (p, q), classes in tight.items():
         path = classes[0].path
+        # the shuffle criterion, against the decoration's runs
+        runs = tuple(block_partition(path)) == classes[0].blocks
+        yield None if runs else f"L({p},{q}) shuffle blocks"
         weights = dict(zip(KNOTS, _edge_weights(path)))
-        blocks = block_partition(path)  # the shuffle criterion, against the runs
-        runs = tuple(blocks) == classes[0].blocks
-        for knot in KNOTS:
-            edges = iter(weights[knot])
-            if not runs or any(len(set(itertools.islice(edges, size))) != 1 for size in blocks):
-                yield f"L({p},{q}) {knot} block weights"
-            else:
-                yield None
         for i, ts in enumerate(classes):
             signs = ts.signs
             for knot in KNOTS:
@@ -177,15 +204,9 @@ def _block_failures(tight):
 
 
 def _det_failures(tight):
-    # k1 and k2 hang their meridian on the two ends of one chain, so their
-    # linking matrices coincide: one Bareiss per distinct matrix.
+    # The linking matrix reads only the framings, which k1 and k2 share.
     for p, q in tight:
-        dets = {}
-        for knot in KNOTS:
-            m = linking_matrix(build_chain(p, q, knot))
-            if m not in dets:
-                dets[m] = abs(det_bareiss(m))
-            yield None if dets[m] == p else f"L({p},{q}) {knot}"
+        yield None if abs(det_bareiss(linking_matrix(build_chain(p, q)))) == p else f"L({p},{q})"
 
 
 def _mcg_failures(tight):

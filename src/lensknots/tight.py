@@ -17,7 +17,6 @@ from .slopes import (
     _Record,
     _set,
     dual_fraction,
-    farey_mul,
     neg_cf,
     q_is_minus_one,
     require_lens_pair,
@@ -28,27 +27,6 @@ def decorated_path(p: int, q: int) -> list[Slope]:
     """The Farey geodesic from -p/q to 0 carrying the decoration."""
     require_lens_pair(p, q)
     return geodesic(Slope(-p, q), Slope(0))
-
-
-def block_partition(path: list[Slope]) -> list[int]:
-    """Sizes of the maximal runs of decorated edges that shuffle with their
-    neighbors.
-
-    Decorated edges are indexed by their initial vertex, 1..len(path)-3; two
-    consecutive ones shuffle when the endpoints around their shared vertex
-    have cross-determinant of absolute value 2.
-    """
-    n_dec = len(path) - 3
-    if n_dec <= 0:
-        return []
-    blocks = [1]
-    for i in range(1, n_dec):
-        # decorated edges i and i+1 run between path[i..i+1] and path[i+1..i+2]
-        if abs(farey_mul(path[i], path[i + 2])) == 2:
-            blocks[-1] += 1
-        else:
-            blocks.append(1)
-    return blocks
 
 
 def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
@@ -92,7 +70,7 @@ def decoration(p: int, q: int) -> Decoration:
     A shuffle block is a maximal run of decorated edges with one edge
     vector b - a: consecutive edges a -> b -> c share it exactly when
     c = 2b - a, that is when a and c have cross-determinant ±2, which is the
-    shuffle criterion (block_partition).  Decorated-path vertices carry
+    shuffle criterion (checks.block_partition).  Decorated-path vertices carry
     negative numerators and positive denominators, and the edge vectors are
     taken componentwise in that form.
     """

@@ -68,15 +68,15 @@ def test_block_family_catches_a_block_with_two_weights(monkeypatch):
         return [sum(sizes)] if sizes else []
 
     monkeypatch.setattr(checks, "block_partition", merged)
-    assert _failures(12) == {"rotation numbers: blocks vs edges": "L(8,3) k1 block weights"}
+    assert _failures(12) == {"rotation numbers: blocks vs edges": "L(8,3) shuffle blocks"}
 
 
 def test_block_family_catches_a_block_split_into_singletons(monkeypatch):
-    # Singletons keep every weight constant on its block and leave the class
-    # sums alone; only the comparison of the shuffle criterion with the
-    # decoration's runs sees the split. L(4,1) has one block of two edges.
+    # Singletons leave the class sums alone; only the comparison of the
+    # shuffle criterion with the decoration's runs sees the split. L(4,1)
+    # has one block of two edges.
     monkeypatch.setattr(checks, "block_partition", lambda path: [1] * max(len(path) - 3, 0))
-    assert _failures(6) == {"rotation numbers: blocks vs edges": "L(4,1) k1 block weights"}
+    assert _failures(6) == {"rotation numbers: blocks vs edges": "L(4,1) shuffle blocks"}
 
 
 def test_det_family_runs_one_bareiss_per_lens_space(monkeypatch):
@@ -92,22 +92,12 @@ def test_det_family_runs_one_bareiss_per_lens_space(monkeypatch):
     assert len(calls) == len(list(lens_pairs(9)))
 
 
-def test_det_family_checks_each_knot(monkeypatch):
-    # A wrong determinant fails both knots; a k2 matrix that differs from
-    # k1's gets its own determinant.
+def test_det_family_checks_each_lens_space(monkeypatch):
+    # One determinant and one comparison per lens space: k1 and k2 share
+    # their framings, so they share their linking matrix.
     monkeypatch.setattr(checks, "det_bareiss", lambda m: 0)
-    assert _failures(4)["linking matrix determinant = p"] == "L(2,1) k1"
-    assert list(checks._det_failures({(5, 2): []})) == ["L(5,2) k1", "L(5,2) k2"]
-    monkeypatch.undo()
-    linking_matrix = checks.linking_matrix
-
-    def doubled_k2(chain):
-        m = linking_matrix(chain)
-        return m if chain.meridian_of == "first" else tuple(tuple(2 * v for v in row) for row in m)
-
-    monkeypatch.setattr(checks, "linking_matrix", doubled_k2)
-    outcomes = list(checks._det_failures({(5, 2): [], (7, 3): []}))
-    assert outcomes == [None, "L(5,2) k2", None, "L(7,3) k2"]
+    assert _failures(4)["linking matrix determinant = p"] == "L(2,1)"
+    assert list(checks._det_failures({(5, 2): [], (7, 3): []})) == ["L(5,2)", "L(7,3)"]
 
 
 def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
@@ -126,7 +116,7 @@ def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
 
 
 def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):
-    # A merged k2 must have the |rot| of k1 in every class; shifting its rot
+    # A merged k2 must have the rot of k1 in every class; shifting its rot
     # by 1 breaks that first on L(2,1).
     rot_q_farey = checks.rot_q_farey
 
@@ -165,15 +155,38 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
     assert result.counterexample == "L(3,1) class 0 merged unknots with different peak rot"
 
 
+def test_rot_family_compares_class_by_class(monkeypatch):
+    # Negating k2's Farey rot keeps its sorted spectrum, which rot_choices
+    # makes symmetric under negation, so only a class-by-class comparison
+    # sees it; L(2,1) has rot 0, and L(3,1) is the first with rot +-1/3.
+    rot_q_farey = checks.rot_q_farey
+
+    def negated_k2(ts, knot="k1"):
+        rot = rot_q_farey(ts, knot)
+        return -rot if knot == "k2" else rot
+
+    tight = {(p, q): checks.enumerate_tight(p, q) for p, q in lens_pairs(6)}
+    for classes in tight.values():
+        assert sorted(rot_q_farey(ts, "k2") for ts in classes) == sorted(
+            negated_k2(ts, "k2") for ts in classes
+        )
+    monkeypatch.setattr(checks, "rot_q_farey", negated_k2)
+    result = checks._check("rot", checks._rot_failures(tight))
+    assert (result.counterexample, result.cases) == ("L(3,1) k2", 4)
+
+
+def test_rot_family_fails_blocks_that_do_not_fit_the_chain():
+    # L(7,2) has one block of two edges; the chain of L(7,3) has no
+    # component framed -4 to carry it.
+    classes = checks.enumerate_tight(7, 2)
+    assert classes[0].blocks == (2,) and checks.build_chain(7, 3).framings == (-3, -2, -2)
+    assert list(checks._rot_failures({(7, 3): classes})) == ["L(7,3) k1", "L(7,3) k2"]
+
+
 def test_sweep_counts_the_cases_of_each_family():
-    counts = {c.name: c.cases for c in check_sweep(20).checks}
-    pairs = len(list(lens_pairs(20)))
-    assert pairs == 127
-    assert counts["geodesic vs BFS oracle"] == pairs
-    assert counts["rotation numbers: Farey vs surgery"] == 2 * pairs
-    assert counts["linking matrix determinant = p"] == 2 * pairs
-    assert counts["tight-count formula vs enumeration"] == pairs
-    assert counts["universally tight counts"] == pairs
+    counts = [c.cases for c in check_sweep(20).checks]
+    assert len(list(lens_pairs(20))) == 127
+    assert counts == [127, 127, 254, 1345, 127, 372, 127]
     assert all(c.seconds >= 0 for c in check_sweep(5).checks)
 
 

@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import lensknots
-from lensknots import farey, surgery, tight
+from lensknots import checks, farey, surgery, tight
 
 
 def test_library_has_no_assert():
@@ -84,9 +84,11 @@ def _names_reached(module, entry):
 def test_oracles_stay_independent():
     """The BFS oracle never uses the geodesic it checks, the generic
     determinant and solver never use the continued fraction that the
-    linking determinant is computed from, and the decoration reads its
-    blocks from runs of edge vectors, never from the shuffle criterion
-    that checks them."""
+    linking determinant is computed from, the decoration reads its blocks
+    from runs of edge vectors, never from the shuffle criterion that checks
+    them (which lives in checks), and the Farey vs surgery check maps each
+    class to its rotation vector from block sizes, plus counts and
+    framings alone, never from the edge vectors or the path."""
     assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
     assert {"geodesic", "farthest_neighbor"} & _names_reached(farey, "bfs_oracle") == set()
     assert "cf_matrix_identity" in _names_reached(surgery, "linking_det")
@@ -96,3 +98,6 @@ def test_oracles_stay_independent():
     reached = _names_reached(tight, "decoration")
     assert "groupby" in reached
     assert {"block_partition", "farey_mul"} & reached == set()
+    assert not hasattr(tight, "block_partition")
+    reached = _names_reached(checks, "_rot_failures")
+    assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()

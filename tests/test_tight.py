@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lensknots.checks import block_partition
 from lensknots.slopes import Slope
 from lensknots.tight import (
     ShuffleClass,
-    block_partition,
     class_from_signs,
     count_tight_lens,
     count_tight_solid,

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lensknots import mcg
-from lensknots.checks import rot_q_edges
+from lensknots import checks, mcg
+from lensknots.checks import block_partition, rot_q_edges
 from lensknots.mcg import unknot_classes
 from lensknots.slopes import dual_fraction
 from lensknots.surgery import (
@@ -16,7 +16,6 @@ from lensknots.surgery import (
 )
 from lensknots.tight import (
     ShuffleClass,
-    block_partition,
     class_from_signs,
     decorated_path,
     decoration,
@@ -147,41 +146,14 @@ class TestHeegaardSwap:
         assert vectors == 1741
 
 
-def _rotation_vector(ts):
-    """The chain rotation vector of a tight structure: the shuffle blocks, in
-    path order, are the chain components framed r_i <= -3 in reverse chain
-    order, a block with c of its signs positive has rot_i = -(2c - size),
-    and every -2 component has rot_i = 0."""
-    counts = iter(reversed(ts.plus_counts))
-    sizes = iter(reversed(ts.blocks))
-    out = []
-    for r in build_chain(ts.p, ts.q).framings:
-        if r == -2:
-            out.append(0)
-        else:
-            size = next(sizes)
-            if size != -r - 2:
-                raise ValueError(f"block of size {size} on a component framed {r}")
-            out.append(size - 2 * next(counts))
-    if next(sizes, None) is not None:
-        raise ValueError("more blocks than components framed <= -3")
-    return tuple(out)
-
-
 class TestFareyIsSurgery:
     def test_class_by_class(self):
-        # Each tight structure is Legendrian surgery on the chain with its
-        # rotation vector, and both sides give it the same rot_Q.
-        comparisons = 0
-        for p, q in lens_pairs(40):
-            classes = enumerate_tight(p, q)
-            vectors = [_rotation_vector(ts) for ts in classes]
-            assert len(set(vectors)) == len(classes), (p, q)
-            for knot in ("k1", "k2"):
-                surgery_side = rot_q_surgery(build_chain(p, q, knot), vectors)
-                assert surgery_side == [rot_q_farey(ts, knot) for ts in classes], (p, q, knot)
-                comparisons += len(classes)
-        assert comparisons == 7516
+        # Each tight structure is Legendrian surgery on the chain with the
+        # rotation vector its blocks give, and both sides give it the same
+        # rot_Q: one comparison per knot covers every class of L(p,q).
+        tight = {(p, q): enumerate_tight(p, q) for p, q in lens_pairs(40)}
+        assert list(checks._rot_failures(tight)) == [None] * (2 * len(tight))
+        assert 2 * sum(map(len, tight.values())) == 7516
 
 
 class TestRotation:
