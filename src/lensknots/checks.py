@@ -85,7 +85,7 @@ def check_sweep(p_max: int) -> SweepReport:
     """Run the seven cross-module check families over all L(p,q), p <= p_max.
 
     The tight structures of each L(p,q) are enumerated once and shared by
-    the five families that read them."""
+    the six families that read them."""
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     t0 = time.perf_counter()
@@ -113,9 +113,11 @@ def _count_failures(tight):
 
 
 def _geodesic_failures(tight):
-    for p, q in tight:
+    # The decorated path, walked off the chain, against the geodesic and the BFS.
+    for (p, q), classes in tight.items():
         frm, to = Slope(-p, q), Slope(0)
-        yield None if geodesic(frm, to) == bfs_oracle(frm, to, p) else f"L({p},{q})"
+        same = list(classes[0].path) == geodesic(frm, to) == bfs_oracle(frm, to, p)
+        yield None if same else f"L({p},{q})"
 
 
 def _rot_failures(tight):

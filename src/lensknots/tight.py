@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .farey import geodesic
 from .mcg import unknot_classes
 from .slopes import (
     Slope,
@@ -21,12 +20,6 @@ from .slopes import (
     q_is_minus_one,
     require_lens_pair,
 )
-
-
-def decorated_path(p: int, q: int) -> list[Slope]:
-    """The Farey geodesic from -p/q to 0 carrying the decoration."""
-    require_lens_pair(p, q)
-    return geodesic(Slope(-p, q), Slope(0))
 
 
 def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
@@ -65,25 +58,32 @@ class Decoration(_Record):
 
 
 def decoration(p: int, q: int) -> Decoration:
-    """The shared data of the tight structures on L(p,q).
+    """The shared data of the tight structures on L(p,q), walked back from
+    0/1 along the chain -p/q = [r_0, ..., r_n].
 
-    A shuffle block is a maximal run of decorated edges with one edge
-    vector b - a: consecutive edges a -> b -> c share it exactly when
-    c = 2b - a, that is when a and c have cross-determinant ±2, which is the
-    shuffle criterion (checks.block_partition).  Decorated-path vertices carry
-    negative numerators and positive denominators, and the edge vectors are
-    taken componentwise in that form.
+    Component k gives -r_k - 2 decorated edges, plus the path's last edge at
+    k = 0 and its first at k = n, all with vector (x, -y) = b - a, where x/y
+    is the convergent of [-r_0, ..., -r_{k-1}] (1/0 at k = 0).  So a shuffle
+    block is a component framed r_k <= -3, of size -r_k - 2, in reverse
+    chain order.  Vertices carry negative numerators and positive
+    denominators, and the edge vectors are taken componentwise in that form.
     """
-    path = tuple(decorated_path(p, q))
-    if any(v.num >= 0 for v in path[1:-1]):
-        raise ValueError("decorated-path vertices must be negative")
-    vectors = [(b.num - a.num, b.den - a.den) for a, b in zip(path[1:-2], path[2:-1])]
-    blocks, steps = [], []
-    for step, run in itertools.groupby(vectors):
-        steps.append(step)
-        blocks.append(len(list(run)))
+    require_lens_pair(p, q)
+    chain = neg_cf(Slope(-p, q))
+    n = len(chain) - 1
+    path, blocks, steps = [Slope(0)], [], []
+    num, den, x, y, x0, y0 = 0, 1, 1, 0, 0, -1
+    for k, r in enumerate(chain):
+        if r <= -3:
+            blocks.insert(0, -r - 2)
+            steps.insert(0, (x, -y))
+        for _ in range(-r - 2 + (k == 0) + (k == n)):
+            num, den = num - x, den + y
+            path.append(Slope(num, den))
+        x, y, x0, y0 = -r * x - x0, -r * y - y0, x, y
+    path.reverse()
     knots = tuple(unknot_classes(p, q))
-    return Decoration(p, q, path, tuple(blocks), tuple(steps), peak_tb(p, q), knots)
+    return Decoration(p, q, tuple(path), tuple(blocks), tuple(steps), peak_tb(p, q), knots)
 
 
 class ShuffleClass(_Record):

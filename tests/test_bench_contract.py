@@ -85,7 +85,11 @@ def test_census_query_traced(bench):
     assert metrics["tight.classes"] == target.tight.count_tight_lens(p, q)
     knots = len(target.mcg.unknot_classes(p, q))
     assert metrics["unknots.mountain_range.points"] == 15 * knots  # depth 4
-    assert metrics["farey.geodesic.calls"] >= 1
+    # The decoration walks the chain, so only the bypass walk, one attachment
+    # per edge of the decorated path, reaches the Farey layer.
+    assert metrics["farey.geodesic.calls"] == 0
+    path = target.tight.decoration(p, q).path
+    assert metrics["bypass.attach_bypass.calls"] == len(path) - 1
     assert metrics["slopes.Slope.count"] > 0
     assert metrics["unknots.legendrian_classification.self_ms"] > 0
     assert [name for name in metrics if name.endswith(".errors") and metrics[name]] == []

@@ -183,6 +183,13 @@ def test_rot_family_fails_blocks_that_do_not_fit_the_chain():
     assert list(checks._rot_failures({(7, 3): classes})) == ["L(7,3) k1", "L(7,3) k2"]
 
 
+def test_geodesic_family_compares_the_decorated_path():
+    # The classes of L(7,2) carry the path from -7/2, not the one from -7/3
+    # that the geodesic and the BFS agree on.
+    classes = checks.enumerate_tight(7, 2)
+    assert list(checks._geodesic_failures({(7, 3): classes})) == ["L(7,3)"]
+
+
 def test_sweep_counts_the_cases_of_each_family():
     counts = [c.cases for c in check_sweep(20).checks]
     assert len(list(lens_pairs(20))) == 127

@@ -84,11 +84,12 @@ def _names_reached(module, entry):
 def test_oracles_stay_independent():
     """The BFS oracle never uses the geodesic it checks, the generic
     determinant and solver never use the continued fraction that the
-    linking determinant is computed from, the decoration reads its blocks
-    from runs of edge vectors, never from the shuffle criterion that checks
-    them (which lives in checks), and the Farey vs surgery check maps each
-    class to its rotation vector from block sizes, plus counts and
-    framings alone, never from the edge vectors or the path."""
+    linking determinant is computed from, the decoration reads path and
+    blocks off the continued fraction, never from the Farey geodesic or the
+    shuffle criterion that check them (which live in farey and checks), and
+    the Farey vs surgery check maps each class to its rotation vector from
+    block sizes, plus counts and framings alone, never from the edge vectors
+    or the path."""
     assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
     assert {"geodesic", "farthest_neighbor"} & _names_reached(farey, "bfs_oracle") == set()
     assert "cf_matrix_identity" in _names_reached(surgery, "linking_det")
@@ -96,8 +97,10 @@ def test_oracles_stay_independent():
         reached = _names_reached(surgery, oracle)
         assert {"cf_matrix_identity", "linking_det", "neg_cf"} & reached == set(), oracle
     reached = _names_reached(tight, "decoration")
-    assert "groupby" in reached
-    assert {"block_partition", "farey_mul"} & reached == set()
+    assert "neg_cf" in reached
+    oracles = {"geodesic", "farthest_neighbor", "groupby", "block_partition", "farey_mul"}
+    assert oracles & reached == set()
+    assert "geodesic" not in vars(tight)
     assert not hasattr(tight, "block_partition")
     reached = _names_reached(checks, "_rot_failures")
     assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()

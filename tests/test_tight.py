@@ -7,13 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lensknots.checks import block_partition
-from lensknots.slopes import Slope
+from lensknots.farey import geodesic
+from lensknots.slopes import ZERO, Slope
 from lensknots.tight import (
     ShuffleClass,
     class_from_signs,
     count_tight_lens,
     count_tight_solid,
-    decorated_path,
     decoration,
     enumerate_tight,
     is_universally_tight,
@@ -63,21 +63,33 @@ class TestBlocks:
     def test_single_block(self):
         # L(9,2): path -9/2, -4, -3, -2, -1, 0 with three mutually
         # shuffleable decorated edges
-        path = decorated_path(9, 2)
+        path = decoration(9, 2).path
         assert block_partition(path) == [3]
         assert count_tight_lens(9, 2) == 4
 
     def test_singleton_blocks(self):
-        assert block_partition(decorated_path(12, 5)) == [1, 1]
+        assert block_partition(decoration(12, 5).path) == [1, 1]
 
     def test_no_decorated_edges(self):
-        assert block_partition(decorated_path(2, 1)) == []
-        assert block_partition(decorated_path(5, 4)) == []
+        assert block_partition(decoration(2, 1).path) == []
+        assert block_partition(decoration(5, 4).path) == []
 
     def test_blocks_cover_decorated_edges(self):
         for p, q in lens_pairs(20):
-            path = decorated_path(p, q)
+            path = decoration(p, q).path
             assert sum(block_partition(path)) == max(len(path) - 3, 0)
+
+    def test_chain_walk_is_the_grouped_geodesic(self):
+        # The reference reads the decoration off the Farey geodesic: blocks
+        # and steps are the runs of one decorated edge vector.
+        for p, q in lens_pairs(200):
+            path = geodesic(Slope(-p, q), ZERO)
+            vectors = [(b.num - a.num, b.den - a.den) for a, b in zip(path[1:-2], path[2:-1])]
+            runs = [(step, len(list(run))) for step, run in itertools.groupby(vectors)]
+            d = decoration(p, q)
+            assert d.path == tuple(path), (p, q)
+            assert d.blocks == tuple(size for _, size in runs), (p, q)
+            assert d.steps == tuple(step for step, _ in runs), (p, q)
 
 
 class TestClassFromSigns:

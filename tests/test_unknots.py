@@ -17,7 +17,6 @@ from lensknots.surgery import (
 from lensknots.tight import (
     ShuffleClass,
     class_from_signs,
-    decorated_path,
     decoration,
     enumerate_tight,
 )
@@ -67,10 +66,12 @@ class TestPeakTb:
             assert tb_q_peak(p, q, "k2") == Fraction(-(p - p_), p)
 
     def test_k2_peak_is_the_first_geodesic_step(self):
-        # The geodesic's first edge runs from -p/q to -(p-p')/(q-q'), so the
-        # dual fraction and the Farey path give the k2 peak independently.
+        # The decorated path's first edge has vector (p', -q'), the chain's
+        # last convergent [-r_0, ..., -r_{n-1}], so it runs from -p/q to
+        # -(p-p')/(q-q'): the walk and dual_fraction's modular inverse give
+        # the k2 peak independently.
         for p, q in lens_pairs(150):
-            assert tb_q_peak(p, q, "k2") == Fraction(decorated_path(p, q)[1].num, p)
+            assert tb_q_peak(p, q, "k2") == Fraction(decoration(p, q).path[1].num, p)
 
     def test_unknown_knot(self):
         with pytest.raises(ValueError):
