@@ -116,7 +116,7 @@ def _geodesic_failures(tight):
     # The decorated path, walked off the chain, against the geodesic and the BFS.
     for (p, q), classes in tight.items():
         frm, to = Slope(-p, q), Slope(0)
-        same = list(classes[0].path) == geodesic(frm, to) == bfs_oracle(frm, to, p)
+        same = list(classes[0].path) == geodesic(frm, to) == bfs_oracle(frm, to)
         yield None if same else f"L({p},{q})"
 
 

@@ -82,69 +82,51 @@ def geodesic(start: Slope, stop: Slope) -> list[Slope]:
     return path
 
 
-def bfs_oracle(start: Slope, stop: Slope, den_bound: int) -> list[Slope]:
+def bfs_oracle(start: Slope, stop: Slope) -> list[Slope]:
     """Breadth-first shortest path from start to stop over the explicit
-    Farey graph on inf and the slopes of denominator <= den_bound and
-    absolute value <= m, the larger endpoint numerator in absolute value,
-    restricted to the closed clockwise arc.  Test oracle; independent of
-    geodesic().
+    Farey graph on inf and the slopes of the closed clockwise arc with
+    denominator at most the larger endpoint denominator and absolute value
+    at most m, the larger endpoint numerator in absolute value.  Test
+    oracle; independent of geodesic().
 
-    No shortest path leaves that range: in an arc that avoids inf it stays
-    between the endpoints, and through inf it meets the integers next to
-    an endpoint, at most m in absolute value.  The graph is finite, so the
-    search ends even when stop is out of reach.
+    No shortest path needs more.  A vertex v whose denominator exceeds both
+    endpoints' lies strictly between its Farey parents u and w, and the
+    edge u-w shuts v off from both endpoints, so any excursion through v
+    can be cut to u, w or the edge between them.  Through inf the path
+    meets the integers next to an endpoint, at most m in absolute value.
 
-    A vertex n/d (d >= 0, inf = 1/0) is queued with a neighbor c/e such
-    that n*e - d*c == -1; its neighbors are then (c + k*n)/(e + k*d) over
-    the integers k, swept in increasing k.  Only start needs _egcd for c/e:
-    every other vertex takes it from the edge it was reached by.  For inf,
-    e == -1 and k runs so that the integers m, m-1, ..., -m come out.  A
-    candidate is admissible when it is stop or when start, it, stop sit in
-    clockwise order, the in_arc test written out on cross-determinants.
-    The search ends when stop is first reached, which is when its
-    predecessor on the path is fixed."""
+    A vertex n/d (d >= 0, inf = 1/0) with n*x + d*y == 1 has the neighbors
+    (y + k*n)/(k*d - x), swept in increasing k: the integers m, ..., -m
+    for inf.  A candidate is admissible when it is stop or when start, it,
+    stop sit in clockwise order, in_arc written out on cross-determinants."""
     if start == stop:
         raise ValueError("degenerate arc: endpoints coincide")
     sn, sd = start.num, start.den
-    tn, td = stop.num, stop.den
+    goal = tn, td = stop.num, stop.den
     orient = tn * sd - td * sn  # farey_mul(stop, start)
-    m = max(abs(sn), abs(tn))
-    # Vertices are keyed by num*base + den; base exceeds every denominator.
-    base = max(den_bound, sd, td) + 1
-    goal = tn * base + td
-    _, x, y = _egcd(sn, sd)
-    prev = {sn * base + sd: None}
-    queue = deque([(sn, sd, y, -x)])
-    while queue:
-        n, d, c, e = queue.popleft()
-        cur = n * base + d
-        if d:
-            # The k with |e + k*d| <= den_bound.
-            lo = -((den_bound + e) // d)
-            vn, vd = c + lo * n, e + lo * d
-            count = (den_bound - e) // d - lo + 1
-        else:
-            vn, vd = -m, e
-            count = 2 * m + 1 if den_bound > 0 else 0
-        for _ in range(count):
-            # (vn, vd) is reduced, with n*vd - d*vn == -1; its sign is fixed
-            # only for the key, as the tests below do not depend on it.  When
-            # vd == 0 it is (1, 0).
-            key = vn * base + vd if vd >= 0 else -vn * base - vd
-            if key not in prev and (
-                key == goal
-                or (abs(vn) <= m * abs(vd) or not vd)
+    den_max, m = max(sd, td), max(abs(sn), abs(tn))
+    prev = {(sn, sd): None}
+    queue = deque([(sn, sd)])
+    while True:  # the graph holds a shortest path, so stop is reached
+        cur = n, d = queue.popleft()
+        _, x, y = _egcd(n, d)
+        for k in range(-((den_max - x) // d), (den_max + x) // d + 1) if d else range(-m, m + 1):
+            vn, vd = y + k * n, k * d - x
+            if vd < 0:
+                vn, vd = -vn, -vd
+            elif vd == 0:
+                vn = 1
+            v = vn, vd
+            if v not in prev and (
+                v == goal
+                or (vd == 0 or abs(vn) <= m * vd)
                 and (sn * vd - sd * vn) * (vn * td - vd * tn) * orient > 0
             ):
-                prev[key] = cur
-                if key == goal:
+                prev[v] = cur
+                if v == goal:
                     path = []
-                    while key is not None:
-                        path.append(Slope(*divmod(key, base)))
-                        key = prev[key]
+                    while v is not None:
+                        path.append(Slope(*v))
+                        v = prev[v]
                     return path[::-1]
-                # Queued with n/d, signed so that the cross-determinant is -1.
-                queue.append((vn, vd, -n, -d) if vd >= 0 else (-vn, -vd, n, d))
-            vn += n
-            vd += d
-    raise ValueError(f"denominator bound {den_bound} too small to reach {stop}")
+                queue.append(v)

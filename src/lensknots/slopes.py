@@ -115,10 +115,11 @@ class Slope(_Record):
         text = text.strip()
         if text in ("inf", "-inf", "1/0", "-1/0"):
             return INFINITY
-        if "/" in text:
-            n, d = text.split("/", 1)
-            return cls(int(n), int(d))
-        return cls(int(text))
+        try:
+            terms = [int(t) for t in text.split("/", 1)]
+        except ValueError:
+            raise ValueError(f"not a slope: {text!r}") from None
+        return cls(*terms)
 
     @classmethod
     def from_fraction(cls, value) -> "Slope":
@@ -152,22 +153,17 @@ def farey_mul(a: Slope, b: Slope) -> int:
     return a.num * b.den - a.den * b.num
 
 
-def neg_cf(x: Slope, form: str = "lens") -> list[int]:
-    """Negative continued fraction coefficients [r_0, ..., r_n] of x.
+def neg_cf(x: Slope) -> list[int]:
+    """Negative continued fraction coefficients [r_0, ..., r_n] of x <= -1.
 
-    x = r_0 - 1/(r_1 - 1/(... - 1/r_n)).  In "lens" form every r_i <= -2,
-    which requires x < -1; in "solid" form the final coefficient may be -1,
-    which admits x = -1 as well.
+    x = r_0 - 1/(r_1 - 1/(... - 1/r_n)).  Every r_i <= -2, except that
+    x = -1 expands to [-1]; a lens space's -p/q < -1 never ends in -1.
     """
-    if form not in ("lens", "solid"):
-        raise ValueError(f"unknown form {form!r}")
     if x.is_infinite:
         raise ValueError("cannot expand an infinite slope")
-    num, den = x.num, x.den  # den > 0, so num/den >= -1 iff num >= -den
-    if form == "lens" and num >= -den:
-        raise ValueError(f"lens-form expansion needs x < -1, got {x}")
-    if form == "solid" and num > -den:
-        raise ValueError(f"solid-form expansion needs x <= -1, got {x}")
+    num, den = x.num, x.den  # den > 0, so num/den <= -1 iff num <= -den
+    if num > -den:
+        raise ValueError(f"needs x <= -1, got {x}")
     coeffs = []
     while True:
         r, rem = divmod(num, den)

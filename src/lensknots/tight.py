@@ -184,7 +184,7 @@ def count_tight_solid(slope: Slope) -> int:
         raise ValueError("dividing slope must be finite")
     num, den = slope.num, slope.den
     k = -(num // den) - 1  # slope + k = (num + k*den)/den lies in [-1, 0)
-    coeffs = neg_cf(Slope(den, num + k * den), form="solid")
+    coeffs = neg_cf(Slope(den, num + k * den))
     count = abs(coeffs[-1])
     for r in coeffs[:-1]:
         count *= abs(r + 1)

@@ -4,6 +4,8 @@ import pytest
 
 from lensknots import checks, unknots
 from lensknots.checks import check_sweep, lens_pairs
+from lensknots.farey import bfs_oracle
+from lensknots.slopes import farey_sum
 
 
 def test_lens_pairs():
@@ -188,6 +190,19 @@ def test_geodesic_family_compares_the_decorated_path():
     # that the geodesic and the BFS agree on.
     classes = checks.enumerate_tight(7, 2)
     assert list(checks._geodesic_failures({(7, 3): classes})) == ["L(7,3)"]
+
+
+def test_geodesic_family_compares_the_bfs_path(monkeypatch):
+    # A BFS path with the mediant of its first edge inserted: a Farey path,
+    # one edge too long, where the decorated path and the geodesic agree.
+    def detoured(start, stop):
+        path = bfs_oracle(start, stop)
+        return [path[0], farey_sum(path[0], path[1]), *path[1:]]
+
+    monkeypatch.setattr(checks, "bfs_oracle", detoured)
+    family = check_sweep(5).checks[1]
+    assert family.name == "geodesic vs BFS oracle"
+    assert (family.passed, family.counterexample, family.cases) == (False, "L(2,1)", 1)
 
 
 def test_sweep_counts_the_cases_of_each_family():

@@ -425,6 +425,9 @@ def test_usage_error_message(capsys, argv):
         (["unknots", "12", "5", "--bogus=-x"], "unrecognized arguments: --bogus=-x"),
         (["surgery", "5", "2", "--rots", "1,x"], "--rots takes comma-separated integers, got '1,x'"),
         (["surgery", "5", "2", "--rots=-1,,1"], "--rots takes comma-separated integers, got '-1,,1'"),
+        (["farey", "path", "-x/2", "0"], "not a slope: '-x/2'"),
+        (["bypass", "1/x", "0"], "not a slope: '1/x'"),
+        (["farey", "path", "1/2/3", "0"], "not a slope: '1/2/3'"),
     ],
 )
 def test_usage_errors_echo_tokens_as_typed(argv, message):

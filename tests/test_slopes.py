@@ -109,29 +109,29 @@ class TestNegCF:
         assert eval_neg_cf(coeffs) == slope
 
     def test_solid_form_allows_minus_one(self):
-        assert neg_cf(Slope(-1, 1), form="solid") == [-1]
-        assert neg_cf(Slope(-3, 2), form="solid") == [-2, -2]
+        # count_tight_solid expands the reciprocal of a slope in [-1, 0).
+        assert neg_cf(Slope(-1, 1)) == [-1]
+        assert neg_cf(Slope(-3, 2)) == [-2, -2]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            neg_cf(Slope(-1, 1))  # lens form needs x < -1
+            neg_cf(Slope(-1, 2))
         with pytest.raises(ValueError):
-            neg_cf(Slope(-1, 2), form="solid")
+            neg_cf(ZERO)
         with pytest.raises(ValueError):
             neg_cf(INFINITY)
 
     @pytest.mark.parametrize(
-        "x,form,message",
+        "x,message",
         [
-            (Slope(-3, 1), "open", "unknown form 'open'"),
-            (INFINITY, "lens", "cannot expand an infinite slope"),
-            (Slope(-1, 1), "lens", "lens-form expansion needs x < -1, got -1"),
-            (Slope(-1, 2), "solid", "solid-form expansion needs x <= -1, got -1/2"),
+            (INFINITY, "cannot expand an infinite slope"),
+            (Slope(-1, 2), "needs x <= -1, got -1/2"),
+            (Slope(3, 2), "needs x <= -1, got 3/2"),
         ],
     )
-    def test_domain_error_messages(self, x, form, message):
+    def test_domain_error_messages(self, x, message):
         with pytest.raises(ValueError) as exc:
-            neg_cf(x, form)
+            neg_cf(x)
         assert str(exc.value) == message
 
     def test_roundtrip_every_lens_pair(self):
@@ -145,10 +145,10 @@ class TestNegCF:
         for num in range(-60, 0):
             for den in range(1, -num + 1):
                 x = Slope(num, den)
-                coeffs = neg_cf(x, form="solid")
+                coeffs = neg_cf(x)
                 assert eval_neg_cf(coeffs) == x, x
                 assert x == Slope(-1) or all(r <= -2 for r in coeffs), x
-        assert neg_cf(Slope(-1), form="solid") == [-1]
+        assert neg_cf(Slope(-1)) == [-1]
 
     @given(st.integers(2, 200), st.integers(1, 199))
     def test_roundtrip(self, p, q):

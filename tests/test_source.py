@@ -82,16 +82,17 @@ def _names_reached(module, entry):
 
 
 def test_oracles_stay_independent():
-    """The BFS oracle never uses the geodesic it checks, the generic
-    determinant and solver never use the continued fraction that the
-    linking determinant is computed from, the decoration reads path and
-    blocks off the continued fraction, never from the Farey geodesic or the
-    shuffle criterion that check them (which live in farey and checks), and
-    the Farey vs surgery check maps each class to its rotation vector from
-    block sizes, plus counts and framings alone, never from the edge vectors
-    or the path."""
+    """The BFS oracle never uses the geodesic it checks or the neighbor
+    family the geodesic steps through, the generic determinant and solver
+    never use the continued fraction that the linking determinant is
+    computed from, the decoration reads path and blocks off the continued
+    fraction, never from the Farey geodesic or the shuffle criterion that
+    check them (which live in farey and checks), and the Farey vs surgery
+    check maps each class to its rotation vector from block sizes, plus
+    counts and framings alone, never from the edge vectors or the path."""
     assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
-    assert {"geodesic", "farthest_neighbor"} & _names_reached(farey, "bfs_oracle") == set()
+    shared = {"geodesic", "farthest_neighbor", "neighbor_family", "_ceil_div"}
+    assert shared & _names_reached(farey, "bfs_oracle") == set()
     assert "cf_matrix_identity" in _names_reached(surgery, "linking_det")
     for oracle in ("det_bareiss", "solve_exact"):
         reached = _names_reached(surgery, oracle)
