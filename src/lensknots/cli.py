@@ -18,7 +18,7 @@ from . import surgery
 from .bypass import TorusState, attach_bypass
 from .checks import check_sweep
 from .farey import geodesic
-from .slopes import Slope
+from .slopes import Slope, _int
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
 from .unknots import legendrian_classification, mountain_range
 
@@ -78,7 +78,7 @@ def cmd_surgery(args) -> int:
     }
     if args.rots is not None:
         try:
-            rot = tuple(int(v) for v in args.rots.split(",")) if args.rots else ()
+            rot = tuple(_int(v) for v in args.rots.split(",")) if args.rots else ()
         except ValueError:
             raise ValueError(f"--rots takes comma-separated integers, got {args.rots!r}") from None
         out["rot_q"] = str(surgery.rot_q_surgery(chain, [rot])[0])
@@ -170,7 +170,7 @@ def cmd_mcg(args) -> int:
         return 0
     if len(args.args) != 2:
         raise ValueError(f"mcg takes P Q or s1s2, got {' '.join(args.args)}")
-    p, q = int(args.args[0]), int(args.args[1])
+    p, q = _int(args.args[0]), _int(args.args[1])
     if args.table:
         print(_group_str(_MCG_TABLES[args.table](p, q)))
     else:
@@ -201,13 +201,17 @@ def cmd_check(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes options only as spelled in full and
-    quotes every token in its usage errors as typed.
+    quotes every token in its usage errors as typed; a type=int argument
+    takes ASCII digits with an optional sign only.
 
     `typed` maps each token that _protect padded to the token as typed."""
 
     def __init__(self, *args, typed=None, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self.typed = typed or {}
+        # argparse converts a type=int value with the function registered
+        # for int, and still names the type "int" in its usage errors.
+        self.register("type", int, _int)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)

@@ -13,6 +13,17 @@ from fractions import Fraction
 _set = object.__setattr__
 
 
+def _int(text: str) -> int:
+    """The integer that text spells with ASCII digits and an optional sign,
+    surrounding whitespace stripped; int() alone would also read digit
+    group underscores ("1_0") and non-ASCII digits such as full-width ones."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 class _Record:
     """Shared dunders of the package's immutable value records.
 
@@ -116,7 +127,7 @@ class Slope(_Record):
         if text in ("inf", "-inf", "1/0", "-1/0"):
             return INFINITY
         try:
-            terms = [int(t) for t in text.split("/", 1)]
+            terms = [_int(t) for t in text.split("/", 1)]
         except ValueError:
             raise ValueError(f"not a slope: {text!r}") from None
         return cls(*terms)

@@ -99,16 +99,28 @@ def det_bareiss(matrix) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
     elimination; every intermediate value is an exact integer.
 
-    Each row is kept as a map from column to entry that leaves out its
-    zeros, so a step touches only nonzero entries: a row is updated in the
-    pivot row's nonzero columns, and elsewhere its entries are only scaled
-    by pivot/previous pivot, which is exact (a row with a zero multiplier
-    is scaled all the same).  A zero pivot is swapped with the first row
-    below that is nonzero in its column."""
+    Each row is kept as a map from column to nonzero entry, and a step
+    reads only the rows with an entry in the pivot column.  Bareiss's step
+    k would also scale every other row below the pivot by pivot/previous
+    pivot; here such a row is left alone and records the previous pivot
+    its entries are current to.  The per-step factors telescope, so when
+    the row is next read, as the pivot row or for its entry in the pivot
+    column, one multiplication by the current previous pivot and one exact
+    division by the recorded one give the eager values.  A zero pivot is
+    swapped, recorded pivot and all, with the first row below that is
+    nonzero in its column."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    return _eliminate([{j: v for j, v in enumerate(row) if v} for row in matrix])
+
+
+def _eliminate(rows: list[dict[int, int]]) -> int:
+    """det_bareiss's elimination, on rows already held as maps from column
+    to entry; it consumes them.  current[i] is the previous pivot that the
+    entries of rows[i] are current to."""
+    n = len(rows)
+    current = [1] * n
     sign = 1
     prev = 1
     for k in range(n):
@@ -116,38 +128,64 @@ def det_bareiss(matrix) -> int:
             for i in range(k + 1, n):
                 if rows[i].get(k):
                     rows[k], rows[i] = rows[i], rows[k]
+                    current[k], current[i] = current[i], current[k]
                     sign = -sign
                     break
             else:
                 return 0
         pivot_row = rows[k]
+        if current[k] != prev:
+            at = current[k]
+            for j, v in pivot_row.items():
+                pivot_row[j] = v * prev // at
         pivot = pivot_row.pop(k)
-        for row in rows[k + 1 :]:
-            mult = row.pop(k, 0)
-            if pivot != prev:
-                for j, v in row.items():
-                    if not (mult and j in pivot_row):
-                        row[j] = v * pivot // prev
-            if mult:
-                for j, b in pivot_row.items():
-                    row[j] = (row.get(j, 0) * pivot - mult * b) // prev
+        for i in range(k + 1, n):
+            row = rows[i]
+            if not row.get(k):
+                continue
+            # Entries outside the pivot row's columns are only scaled, in
+            # one step from `at` to pivot; the others are brought up to
+            # prev and then combined with the pivot row.
+            at = current[i]
+            mult = row.pop(k) * prev // at
+            for j, v in row.items():
+                if j not in pivot_row:
+                    row[j] = v * pivot // at
+                elif at != prev:
+                    row[j] = v * prev // at
+            for j, b in pivot_row.items():
+                row[j] = (row.get(j, 0) * pivot - mult * b) // prev
+            current[i] = pivot
         prev = pivot
     return sign * prev
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
-    """Exact solution of an integer linear system via Cramer's rule on
-    Bareiss determinants."""
+    """Exact solution of an integer linear system by Cramer's rule on
+    Bareiss determinants.
+
+    det_bareiss gives the denominator.  The matrix's sparse rows, maps from
+    column to nonzero entry, are built once; the matrix of the numerator of
+    x[col] is a copy of them with column col set to the nonzero entries of
+    rhs, and goes to det_bareiss's elimination as it is, with no dense copy
+    in between."""
     n = len(matrix)
     if len(rhs) != n:
         raise ValueError(f"right-hand side must have {n} entries, got {len(rhs)}")
     d = det_bareiss(matrix)
     if d == 0:
         raise ValueError("singular linking matrix")
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
     out = []
     for col in range(n):
-        replaced = [[*row[:col], b, *row[col + 1 :]] for row, b in zip(matrix, rhs)]
-        out.append(Fraction(det_bareiss(replaced), d))
+        replaced = []
+        for row, b in zip(rows, rhs):
+            row = row.copy()
+            row.pop(col, None)
+            if b:
+                row[col] = b
+            replaced.append(row)
+        out.append(Fraction(_eliminate(replaced), d))
     return out
 
 

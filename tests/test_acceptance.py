@@ -39,7 +39,7 @@ def test_criterion_1_tight_structure_counting():
 
 def test_criterion_2_dual_rotation_formulas():
     t0 = time.perf_counter()
-    for p, q in lens_pairs(30):
+    for p, q in lens_pairs(60):
         classes = enumerate_tight(p, q)
         for knot in ("k1", "k2"):
             farey_side = sorted(rot_q_farey(ts, knot) for ts in classes)
@@ -47,7 +47,7 @@ def test_criterion_2_dual_rotation_formulas():
             assert farey_side == surgery_side, f"L({p},{q}) {knot}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10, f"took {elapsed:.1f}s, limit 10s"
-    _report(2, "dual rotation formulas, p <= 30")
+    _report(2, "dual rotation formulas, p <= 60")
 
 
 def test_criterion_3_depth_four_mountain_range():

@@ -428,6 +428,13 @@ def test_usage_error_message(capsys, argv):
         (["farey", "path", "-x/2", "0"], "not a slope: '-x/2'"),
         (["bypass", "1/x", "0"], "not a slope: '1/x'"),
         (["farey", "path", "1/2/3", "0"], "not a slope: '1/2/3'"),
+        # Integers are ASCII digits with an optional sign: no digit group
+        # underscores and no non-ASCII digits, which int() alone accepts.
+        (["farey", "path", "1_0", "12"], "not a slope: '1_0'"),
+        (["farey", "path", "\uff14", "0"], "not a slope: '\uff14'"),
+        (["mcg", "1_2", "5"], "invalid literal for int() with base 10: '1_2'"),
+        (["check", "--pmax", "\uff12"], "argument --pmax: invalid int value: '\uff12'"),
+        (["surgery", "5", "2", "--rots", "1_1"], "--rots takes comma-separated integers, got '1_1'"),
     ],
 )
 def test_usage_errors_echo_tokens_as_typed(argv, message):

@@ -47,6 +47,12 @@ class TestSlope:
     def test_parse_extra(self):
         assert Slope.parse("  -1/0 ") == INFINITY
         assert Slope.parse("6/-4") == Slope(-3, 2)
+        assert Slope.parse(" +3 / +4 ") == Slope(3, 4)
+
+    @pytest.mark.parametrize("text", ["1_0", "1/2_0", "４", "1/２", "²", "+-1", "--1", "", "/2"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="not a slope"):
+            Slope.parse(text)
 
     def test_as_fraction(self):
         assert Slope(-12, 5).as_fraction() == Fraction(-12, 5)

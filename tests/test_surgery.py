@@ -38,6 +38,27 @@ def naive_det(m):
     return total
 
 
+def fraction_det(m):
+    """Determinant by Gaussian elimination over Fraction: the exact
+    reference for matrices too large for naive_det."""
+    m = [[Fraction(v) for v in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return det
+
+
 def test_build_chain():
     chain = build_chain(12, 5, "k1")
     assert chain.framings == (-3, -2, -3)
@@ -149,6 +170,72 @@ class TestDeterminant:
                     ]
                     assert det_bareiss(replaced) == naive_det(replaced), replaced
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # Row 5's one entry is in column 3, so steps 0-2 leave it at its
+            # input scale.  Step 2 updates row 3 and leaves it zero in
+            # column 3, so step 3 swaps in row 5, which must first be
+            # brought up to the previous pivot, -100, and row 3 moves down
+            # with its own, newer scale.
+            [
+                [-5, 0, 0, 2, 0, 0],
+                [0, 4, 0, 0, -3, 0],
+                [0, 0, 5, 0, 3, -5],
+                [0, 0, -2, 0, 0, 0],
+                [0, 0, 3, 0, 0, -5],
+                [0, 0, 0, 2, 0, 0],
+            ],
+            # Row 4 waits three steps and is swapped in at step 3, row 7
+            # waits five and is swapped in at step 5 (previous pivot 640);
+            # row 5 waits four steps and is then read for its column-4
+            # entry.
+            [
+                [0, -4, 0, 0, 3, -1, 1, 4],
+                [0, 4, -2, -3, 2, 0, 2, -4],
+                [0, 0, 0, 0, 0, 0, 2, 0],
+                [0, 0, 0, 0, 4, 0, -5, 4],
+                [0, 0, 0, 4, 0, 0, 3, 0],
+                [0, 0, 0, 0, 1, 0, 0, 0],
+                [-5, 0, 0, 1, 0, -4, 0, -2],
+                [0, 0, 0, 0, 0, 3, 0, 0],
+            ],
+        ],
+    )
+    def test_rows_left_alone_for_several_steps_then_swapped_in(self, m):
+        assert det_bareiss(m) == naive_det(m) == fraction_det(m) != 0
+
+    def test_random_sparse_vs_fraction_elimination(self):
+        # Up to 30 x 30, beyond naive_det's reach: sparse rows leave most
+        # rows without an entry in the pivot column for many steps.
+        rng = random.Random(17)
+        for zero_share in (0.5, 0.8, 0.9, 0.95):
+            for _ in range(25):
+                n = rng.randint(1, 30)
+                m = [
+                    [0 if rng.random() < zero_share else rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                assert det_bareiss(m) == fraction_det(m), m
+
+    def test_cramer_shaped_vs_fraction_elimination(self):
+        # Chain matrices up to 30 x 30 with one column replaced by a unit
+        # vector or a sparse right-hand side, and the solutions they give.
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(1, 30)
+            m = linking_matrix(SurgeryChain(tuple(rng.randint(-5, -2) for _ in range(n))))
+            for rhs in (
+                [int(i == 0) for i in range(n)],
+                [int(i == n - 1) for i in range(n)],
+                [rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)],
+            ):
+                col = rng.randrange(n)
+                replaced = [[*row[:col], b, *row[col + 1 :]] for row, b in zip(m, rhs)]
+                assert det_bareiss(replaced) == fraction_det(replaced), replaced
+                x = solve_exact(m, rhs)
+                assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == rhs
+
     def test_linking_det_matches_bareiss(self):
         for p, q in lens_pairs(60):
             for knot in KNOTS:
@@ -171,7 +258,7 @@ def test_solve_exact_rejects_a_wrong_length_rhs(rhs):
 
 
 def test_solve_exact_solves_every_chain():
-    for p, q in lens_pairs(40):
+    for p, q in lens_pairs(60):
         for knot in KNOTS:
             chain = build_chain(p, q, knot)
             m, lk = linking_matrix(chain), meridian_lk(chain)
