@@ -2,6 +2,8 @@
 tight contact structures, bypass slopes, rational unknot invariants and
 mapping class group tables, all in integer arithmetic."""
 
+from types import ModuleType as _ModuleType
+
 from .bypass import TorusState, attach_bypass, basic_slice_walk, tb_from_dividing
 from .checks import CheckResult, SweepReport, block_partition, check_sweep, lens_pairs
 from .farey import bfs_oracle, farthest_neighbor, geodesic, in_arc, neighbor_family
@@ -65,66 +67,9 @@ from .unknots import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "Decoration",
-    "GroupDescription",
-    "INFINITY",
-    "LegendrianClass",
-    "MountainRange",
-    "ShuffleClass",
-    "Slope",
-    "SurgeryChain",
-    "SweepReport",
-    "TorusState",
-    "ZERO",
-    "attach_bypass",
-    "basic_slice_walk",
-    "bfs_oracle",
-    "block_partition",
-    "build_chain",
-    "cf_matrix_identity",
-    "check_sweep",
-    "class_from_signs",
-    "contact_mcg",
-    "contact_mcg_rel_torus",
-    "contact_mcg_s1s2",
-    "count_tight_lens",
-    "count_tight_solid",
-    "decoration",
-    "delta_action",
-    "det_bareiss",
-    "dual_fraction",
-    "enumerate_tight",
-    "eta_action",
-    "eval_neg_cf",
-    "farey_mul",
-    "farey_sum",
-    "farthest_neighbor",
-    "geodesic",
-    "in_arc",
-    "inclusion_is_iso",
-    "inclusion_kernel",
-    "is_universally_tight",
-    "legendrian_classification",
-    "lens_pairs",
-    "linking_det",
-    "linking_matrix",
-    "meridian_lk",
-    "mountain_range",
-    "neg_cf",
-    "neighbor_family",
-    "rot_choices",
-    "rot_q_farey",
-    "rot_q_surgery",
-    "rot_spectrum",
-    "sl_q",
-    "smooth_mcg",
-    "solve_exact",
-    "stabilize",
-    "standard_structures",
-    "tb_from_dividing",
-    "tb_q_peak",
-    "transverse_classification",
-    "unknot_classes",
-]
+# Every public name bound above, the submodules aside, in sorted order.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -98,24 +98,17 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_unknots(args) -> int:
-    rows = []
-    for ts in _structures(args.p, args.q, args.structure):
-        for c in legendrian_classification(args.p, args.q, ts):
-            rows.append(
-                {
-                    "structure": ts.sign_string,
-                    "knot": c.knot,
-                    "tb_q": str(c.tb_q),
-                    "rot_q": str(c.rot_q),
-                    "sl_q": str(c.sl_q),
-                }
-            )
+    columns = ("structure", "knot", "tb_q", "rot_q", "sl_q")
+    rows = [
+        (ts.sign_string, c.knot, str(c.tb_q), str(c.rot_q), str(c.sl_q))
+        for ts in _structures(args.p, args.q, args.structure)
+        for c in legendrian_classification(args.p, args.q, ts)
+    ]
     if args.format == "json":
-        print(json.dumps(rows))
+        print(json.dumps([dict(zip(columns, row)) for row in rows]))
     else:
-        print("structure\tknot\ttb_q\trot_q\tsl_q")
-        for r in rows:
-            print("\t".join(r[k] for k in ("structure", "knot", "tb_q", "rot_q", "sl_q")))
+        for row in (columns, *rows):
+            print("\t".join(row))
     return 0
 
 

@@ -124,7 +124,7 @@ class Slope(_Record):
     def parse(cls, text: str) -> "Slope":
         """Parse "p/q", a bare integer, or "inf"; round-trips with str()."""
         text = text.strip()
-        if text in ("inf", "-inf", "1/0", "-1/0"):
+        if text in ("inf", "-inf"):
             return INFINITY
         try:
             terms = [_int(t) for t in text.split("/", 1)]
@@ -146,13 +146,10 @@ def farey_sum(a: Slope, b: Slope) -> Slope:
     """Mediant of two slopes, reduced unconditionally.
 
     The unreduced mediant is meaningful only for Farey neighbors; we always
-    return the reduced fraction and never expose the raw pair.
+    return the reduced fraction and never expose the raw pair.  It is never
+    0/0: denominators are >= 0 and infinity is 1/0.
     """
-    num = a.num + b.num
-    den = a.den + b.den
-    if num == 0 and den == 0:
-        raise ValueError(f"Farey sum of {a} and {b} is undefined")
-    return Slope(num, den)
+    return Slope(a.num + b.num, a.den + b.den)
 
 
 def farey_mul(a: Slope, b: Slope) -> int:

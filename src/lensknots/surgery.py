@@ -85,14 +85,17 @@ def meridian_lk(chain: SurgeryChain) -> tuple[int, ...]:
     return tuple(1 if i == idx else 0 for i in range(n))
 
 
-def rot_choices(chain: SurgeryChain) -> list[tuple[int, ...]]:
-    """All admissible rotation vectors of the chain components.
+def _rots(r: int) -> range:
+    """Rotation numbers of a component framed r, a tb = r+1 unknot:
+    r+2, r+4, ..., -(r+2)."""
+    return range(r + 2, -r - 1, 2)
 
-    A tb = r+1 unknot has rotation numbers r+2, r+4, ..., -(r+2); the chain
-    choices are the Cartesian product, one tuple per stabilization pattern.
-    """
-    per_component = [range(r + 2, -(r + 2) + 1, 2) for r in chain.framings]
-    return [tuple(v) for v in itertools.product(*per_component)]
+
+def rot_choices(chain: SurgeryChain) -> list[tuple[int, ...]]:
+    """All admissible rotation vectors of the chain components: the
+    Cartesian product of their rotation numbers, one tuple per
+    stabilization pattern."""
+    return [tuple(v) for v in itertools.product(*map(_rots, chain.framings))]
 
 
 def det_bareiss(matrix) -> int:
@@ -196,11 +199,12 @@ def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     x = solve_exact(linking_matrix(chain), meridian_lk(chain))
     den = math.lcm(*(xi.denominator for xi in x))
     nums = [xi.numerator * (den // xi.denominator) for xi in x]
+    allowed = [_rots(r) for r in chain.framings]
     out = []
     for rot in rots:
-        if len(rot) != len(chain.framings):
+        if len(rot) != len(allowed):
             raise ValueError("wrong number of rotation numbers")
-        if any(abs(v) > -r - 2 or (v - r) % 2 for v, r in zip(rot, chain.framings)):
+        if any(v not in a for v, a in zip(rot, allowed)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
         out.append(Fraction(-sum(v * num for v, num in zip(rot, nums)), den))
     return out

@@ -5,6 +5,7 @@ import pytest
 from lensknots import checks, unknots
 from lensknots.checks import check_sweep, lens_pairs
 from lensknots.farey import bfs_oracle
+from lensknots.mcg import GroupDescription
 from lensknots.slopes import farey_sum
 
 
@@ -115,6 +116,32 @@ def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
     assert _failures(6) == {
         "MCG divisibility and iso criterion": "L(2,1) merged unknots with different peak tb"
     }
+
+
+def test_mcg_family_catches_a_contact_order_that_does_not_divide(monkeypatch):
+    # With a trivial smooth group and an isomorphic inclusion everywhere,
+    # the first nontrivial contact group is sigma's on L(3,2), where q = -1.
+    monkeypatch.setattr(checks, "smooth_mcg", lambda p, q: GroupDescription("trivial"))
+    monkeypatch.setattr(checks, "inclusion_is_iso", lambda p, q: True)
+    assert _failures(6) == {"MCG divisibility and iso criterion": "L(3,2) order divisibility"}
+
+
+def test_mcg_family_catches_a_wrong_iso_criterion(monkeypatch):
+    # L(2,1) has trivial smooth and contact groups, so the inclusion is an
+    # isomorphism there.
+    monkeypatch.setattr(checks, "inclusion_is_iso", lambda p, q: False)
+    assert _failures(6) == {"MCG divisibility and iso criterion": "L(2,1) iso criterion"}
+
+
+def test_mcg_family_catches_sigma_without_q_squared_one(monkeypatch):
+    # Orders 4 over 2 divide and differ, so only the q^2 = 1 clause fails;
+    # L(5,2) is the first lens space with q^2 != 1 (mod p).
+    smooth = GroupDescription("Z2xZ2", ("sigma", "tau"))
+    contact = GroupDescription("Z2", ("sigma",))
+    monkeypatch.setattr(checks, "smooth_mcg", lambda p, q: smooth)
+    monkeypatch.setattr(checks, "contact_mcg", lambda p, q: contact)
+    monkeypatch.setattr(checks, "inclusion_is_iso", lambda p, q: False)
+    assert _failures(6) == {"MCG divisibility and iso criterion": "L(5,2) sigma without q^2=1"}
 
 
 def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):

@@ -29,8 +29,10 @@ class TestInArc:
         assert not in_arc(Slope(1, 1), ZERO, Slope(1, 1))
 
     def test_degenerate_arc(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degenerate arc: endpoints coincide"):
             in_arc(ZERO, Slope(1, 1), Slope(1, 1))
+        with pytest.raises(ValueError, match="degenerate arc: endpoints coincide"):
+            bfs_oracle(Slope(-7, 3), Slope(-7, 3))
 
     @given(
         st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(

@@ -45,7 +45,10 @@ class TestSlope:
         assert str(Slope.parse(text)) == text
 
     def test_parse_extra(self):
-        assert Slope.parse("  -1/0 ") == INFINITY
+        for text in ("1/0", "+1/0", "  -1/0 ", "-inf", "3/0"):
+            assert Slope.parse(text) == INFINITY
+        with pytest.raises(ValueError, match="0/0 is not a slope"):
+            Slope.parse("0/0")
         assert Slope.parse("6/-4") == Slope(-3, 2)
         assert Slope.parse(" +3 / +4 ") == Slope(3, 4)
 
@@ -75,6 +78,7 @@ def test_farey_sum_examples():
     # opposite slopes are never both canonical with zero mediant; the
     # reduced mediant of 1 and -1 is just 0
     assert farey_sum(Slope(1, 1), Slope(-1, 1)) == ZERO
+    assert farey_sum(INFINITY, INFINITY) == INFINITY
 
 
 def test_farey_mul_examples():
@@ -126,6 +130,8 @@ class TestNegCF:
             neg_cf(ZERO)
         with pytest.raises(ValueError):
             neg_cf(INFINITY)
+        with pytest.raises(ValueError, match="empty coefficient list"):
+            eval_neg_cf([])
 
     @pytest.mark.parametrize(
         "x,message",

@@ -2,7 +2,6 @@ import ast
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import lensknots
@@ -45,20 +44,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
-
-
-def test_all_lists_the_public_names():
-    """__all__ is written by hand; it must name exactly the package's public
-    non-module attributes, once each."""
-    names = lensknots.__all__
-    assert len(names) == len(set(names))
-    assert [n for n in names if not hasattr(lensknots, n)] == []
-    public = {
-        n
-        for n, v in vars(lensknots).items()
-        if not n.startswith("_") and not isinstance(v, types.ModuleType)
-    }
-    assert set(names) == public
 
 
 def _names_reached(module, entry):

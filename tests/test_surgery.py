@@ -298,6 +298,15 @@ class TestRotation:
             with pytest.raises(ValueError):
                 rot_q_surgery(chain, [rot])
         assert rot_q_surgery(chain, []) == []
+        # rot_q_surgery takes exactly the vectors that rot_choices lists.
+        chain = SurgeryChain((-4, -2, -5))
+        choices = set(rot_choices(chain))
+        for rot in itertools.product(range(-4, 5), repeat=3):
+            if rot in choices:
+                rot_q_surgery(chain, [rot])
+            else:
+                with pytest.raises(ValueError, match=r"rotation numbers need \|rot_i\|"):
+                    rot_q_surgery(chain, [rot])
 
     def test_matches_the_sum_over_solve_exact(self):
         # -sum rot_i * x_i over solve_exact's fractions, for every rotation
