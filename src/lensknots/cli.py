@@ -7,11 +7,10 @@ output round-trips to the identical values.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
+import types
 
 from . import mcg as mcg_mod
 from . import surgery
@@ -192,98 +191,201 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes options only as spelled in full and
-    quotes every token in its usage errors as typed; a type=int argument
-    takes ASCII digits with an optional sign only.
+_PQ = [("p", dict(type=int)), ("q", dict(type=int))]
+_FORMAT = ("--format", dict(choices=["json", "tsv"], default="tsv"))
 
-    `typed` maps each token that _protect padded to the token as typed."""
+# The grammar, stated once: per subcommand its function, its help line and
+# its arguments, each the name and keyword arguments of an add_argument
+# call; a list of options is a mutually exclusive group.  build_parser
+# builds the argparse parser from it and _walk parses a call with it.
+GRAMMAR = {
+    "farey": (
+        cmd_farey,
+        "Farey graph queries",
+        [("action", dict(choices=["path"])), ("frm", dict(metavar="FROM")), ("to", dict(metavar="TO"))],
+    ),
+    "bypass": (
+        cmd_bypass,
+        "bypass attachment slope",
+        [
+            ("slope", dict(metavar="S")),
+            ("ruling", dict(metavar="R")),
+            [("--front", dict(action="store_true")), ("--back", dict(action="store_true"))],
+        ],
+    ),
+    "tight-structures": (
+        cmd_tight,
+        "tight contact structures on L(p,q)",
+        [*_PQ, ("--list", dict(action="store_true"))],
+    ),
+    "surgery": (
+        cmd_surgery,
+        "chain surgery presentation",
+        [
+            *_PQ,
+            ("--knot", dict(type=str.strip, choices=surgery.KNOTS, default="k1")),
+            ("--rots", dict(type=str.strip, help="comma-separated rotation numbers")),
+            _FORMAT,
+        ],
+    ),
+    "unknots": (
+        cmd_unknots,
+        "Legendrian rational unknot invariants",
+        [*_PQ, ("--structure", dict(type=str.strip, metavar="SIGNS")), _FORMAT],
+    ),
+    "mountain-range": (
+        cmd_mountain,
+        "Legendrian mountain range",
+        [
+            *_PQ,
+            ("--knot", dict(type=str.strip, choices=surgery.ORIENTED_KNOTS, default="k1")),
+            ("--structure", dict(type=str.strip, metavar="SIGNS")),
+            ("--depth", dict(type=int, default=4)),
+            ("--format", dict(choices=["tsv", "json", "svg"], default="tsv")),
+        ],
+    ),
+    "mcg": (
+        cmd_mcg,
+        "mapping class group tables",
+        [
+            ("args", dict(nargs="+", type=str.strip, metavar="P Q | s1s2")),
+            [(f"--{name}", dict(dest="table", action="store_const", const=name)) for name in _MCG_TABLES],
+        ],
+    ),
+    "check": (
+        cmd_check,
+        "cross-validation sweep",
+        [("--pmax", dict(type=int, default=20)), ("--format", dict(choices=["text", "json"], default="text"))],
+    ),
+}
 
-    def __init__(self, *args, typed=None, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-        self.typed = typed or {}
-        # argparse converts a type=int value with the function registered
-        # for int, and still names the type "int" in its usage errors.
-        self.register("type", int, _int)
 
-    def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(self.typed.get(e, e) for e in extras)}")
-        return args
-
-    def error(self, message):
-        # argparse quotes a bad value by its repr, padding included.
-        for padded, token in self.typed.items():
-            i = padded.index(" ")
-            message = message.replace(repr(padded[i:]), repr(token[i:]))
-        super().error(message)
+def _arguments(arguments):
+    """(name, keyword arguments, exclusive group or None) for each argument
+    of a GRAMMAR entry; a group is the index of its list."""
+    for i, entry in enumerate(arguments):
+        if isinstance(entry, list):
+            yield from ((name, kwargs, i) for name, kwargs in entry)
+        else:
+            yield (*entry, None)
 
 
-def build_parser(typed=None) -> argparse.ArgumentParser:
-    strict = functools.partial(_Parser, typed=typed)
-    parser = strict(
-        prog="lensknots", description="Exact contact-topological invariants of lens spaces"
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
+def build_parser(typed=None):
+    """The argparse parser of the grammar.  Its parser class takes options
+    only as spelled in full and quotes every token in its usage errors as
+    typed; a type=int argument takes ASCII digits with an optional sign
+    only.  `typed` maps each token that _protect padded to the token as
+    typed."""
+    import argparse
 
-    p_farey = sub.add_parser("farey", help="Farey graph queries")
-    p_farey.add_argument("action", choices=["path"])
-    p_farey.add_argument("frm", metavar="FROM")
-    p_farey.add_argument("to", metavar="TO")
-    p_farey.set_defaults(func=cmd_farey)
+    typed = typed or {}
 
-    p_byp = sub.add_parser("bypass", help="bypass attachment slope")
-    p_byp.add_argument("slope", metavar="S")
-    p_byp.add_argument("ruling", metavar="R")
-    side = p_byp.add_mutually_exclusive_group()
-    side.add_argument("--front", action="store_true")
-    side.add_argument("--back", action="store_true")
-    p_byp.set_defaults(func=cmd_bypass)
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, allow_abbrev=False, **kwargs)
+            # argparse converts a type=int value with the function registered
+            # for int, and still names the type "int" in its usage errors.
+            self.register("type", int, _int)
 
-    p_tight = sub.add_parser("tight-structures", help="tight contact structures on L(p,q)")
-    p_tight.add_argument("p", type=int)
-    p_tight.add_argument("q", type=int)
-    p_tight.add_argument("--list", action="store_true")
-    p_tight.set_defaults(func=cmd_tight)
+        def parse_args(self, args=None, namespace=None):
+            args, extras = self.parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(typed.get(e, e) for e in extras)}")
+            return args
 
-    p_surg = sub.add_parser("surgery", help="chain surgery presentation")
-    p_surg.add_argument("p", type=int)
-    p_surg.add_argument("q", type=int)
-    p_surg.add_argument("--knot", type=str.strip, choices=surgery.KNOTS, default="k1")
-    p_surg.add_argument("--rots", type=str.strip, help="comma-separated rotation numbers")
-    p_surg.add_argument("--format", choices=["json", "tsv"], default="tsv")
-    p_surg.set_defaults(func=cmd_surgery)
+        def error(self, message):
+            # argparse quotes a bad value by its repr, padding included.
+            for padded, token in typed.items():
+                i = padded.index(" ")
+                message = message.replace(repr(padded[i:]), repr(token[i:]))
+            super().error(message)
 
-    p_unk = sub.add_parser("unknots", help="Legendrian rational unknot invariants")
-    p_unk.add_argument("p", type=int)
-    p_unk.add_argument("q", type=int)
-    p_unk.add_argument("--structure", type=str.strip, metavar="SIGNS")
-    p_unk.add_argument("--format", choices=["json", "tsv"], default="tsv")
-    p_unk.set_defaults(func=cmd_unknots)
-
-    p_mr = sub.add_parser("mountain-range", help="Legendrian mountain range")
-    p_mr.add_argument("p", type=int)
-    p_mr.add_argument("q", type=int)
-    p_mr.add_argument("--knot", type=str.strip, choices=surgery.ORIENTED_KNOTS, default="k1")
-    p_mr.add_argument("--structure", type=str.strip, metavar="SIGNS")
-    p_mr.add_argument("--depth", type=int, default=4)
-    p_mr.add_argument("--format", choices=["tsv", "json", "svg"], default="tsv")
-    p_mr.set_defaults(func=cmd_mountain)
-
-    p_mcg = sub.add_parser("mcg", help="mapping class group tables")
-    p_mcg.add_argument("args", nargs="+", type=str.strip, metavar="P Q | s1s2")
-    table = p_mcg.add_mutually_exclusive_group()
-    for name in _MCG_TABLES:
-        table.add_argument(f"--{name}", dest="table", action="store_const", const=name)
-    p_mcg.set_defaults(func=cmd_mcg)
-
-    p_check = sub.add_parser("check", help="cross-validation sweep")
-    p_check.add_argument("--pmax", type=int, default=20)
-    p_check.add_argument("--format", choices=["text", "json"], default="text")
-    p_check.set_defaults(func=cmd_check)
-
+    parser = _Parser(prog="lensknots", description="Exact contact-topological invariants of lens spaces")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (func, summary, arguments) in GRAMMAR.items():
+        subparser = sub.add_parser(command, help=summary)
+        groups = {}
+        for name, kwargs, group in _arguments(arguments):
+            if group is not None and group not in groups:
+                groups[group] = subparser.add_mutually_exclusive_group()
+            groups.get(group, subparser).add_argument(name, **kwargs)
+        subparser.set_defaults(func=func)
     return parser
+
+
+def _value(kwargs, token):
+    """The token converted by the argument's type and checked against its
+    choices, as argparse does; ValueError where argparse reports an error."""
+    kind = kwargs.get("type")
+    value = _int(token) if kind is int else kind(token) if kind else token
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _walk(tokens):
+    """The namespace, as vars() sees it, that build_parser's parser returns
+    for the _protect-padded tokens, or None where the walk cannot decide.
+
+    It decides calls that argparse parses without an error and without the
+    help: every option spelled in full, a value option followed by a value,
+    "=" after value options only, no two options of one exclusive group,
+    the right number of positionals, and a "+" positional in one run."""
+    if not tokens or tokens[0] not in GRAMMAR:
+        return None
+    func, _, arguments = GRAMMAR[tokens[0]]
+    values = {"command": tokens[0]}
+    positionals, options = [], {}
+    for name, kwargs, group in _arguments(arguments):
+        if name.startswith("-"):
+            dest = kwargs.get("dest", name[2:].replace("-", "_"))
+            values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+            options[name] = dest, kwargs, group
+        else:
+            values[name] = None
+            positionals.append((name, kwargs))
+    loose, chosen, after_option, split = [], {}, False, False
+    rest = iter(tokens[1:])
+    try:
+        for token in rest:
+            if not token.startswith("-"):
+                split = split or after_option
+                loose.append(token)
+                continue
+            after_option = bool(loose)
+            name, eq, value = token.partition("=")
+            if name not in options:  # the help, or not an option in full
+                return None
+            dest, kwargs, group = options[name]
+            if group is not None and chosen.setdefault(group, name) != name:
+                return None
+            action = kwargs.get("action")
+            if action is None:
+                if not eq:
+                    value = next(rest, "-")
+                    if value.startswith("-"):  # no value follows
+                        return None
+                values[dest] = _value(kwargs, value)
+            elif eq:
+                return None
+            else:
+                values[dest] = True if action == "store_true" else kwargs["const"]
+        if positionals and positionals[-1][1].get("nargs") == "+":
+            n = len(positionals) - 1
+            if split or len(loose) <= n:
+                return None
+            loose[n:] = [loose[n:]]
+        if len(loose) != len(positionals):
+            return None
+        for (name, kwargs), token in zip(positionals, loose):
+            if isinstance(token, list):
+                values[name] = [_value(kwargs, t) for t in token]
+            else:
+                values[name] = _value(kwargs, token)
+    except ValueError:
+        return None
+    values["func"] = func
+    return types.SimpleNamespace(**values)
 
 
 # Spelled like an option: -x, --name or --name=value (group 1 holds the value).
@@ -310,13 +412,27 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     tokens = [_protect(a) for a in argv]
-    typed = {t: a for t, a in zip(tokens, argv) if t != a}
-    args = build_parser(typed).parse_args(tokens)
+    # argparse parses only what the walk gives up on: the help and argparse's
+    # usage errors come from it alone.
+    args = _walk(tokens)
+    if args is None:
+        args = build_parser({t: a for t, a in zip(tokens, argv) if t != a}).parse_args(tokens)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output early.  Point it at devnull so
+        # that the flush at exit does not fail again, as the SIGPIPE note of
+        # the Python docs does, and exit as a shell reports a process that
+        # SIGPIPE ended: 128 + 13.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

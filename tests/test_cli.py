@@ -1,9 +1,12 @@
-import argparse
 import contextlib
 import io
 import json
+import operator
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensknots.checks import lens_pairs
-from lensknots.cli import build_parser, main
+from lensknots.cli import GRAMMAR, _arguments, _protect, _walk, build_parser, main
 from lensknots.slopes import Slope
 from lensknots.tight import class_from_signs, enumerate_tight
 from lensknots.unknots import legendrian_classification, mountain_range
@@ -130,15 +133,12 @@ CALLS = {
 
 def _long_options():
     """(subcommand, option, whether it takes a value) for every long option
-    of every subcommand parser, --help included."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    of every subcommand in the grammar, and each subcommand's --help."""
     return [
-        (command, option, action.nargs != 0)
-        for command, subparser in sub.choices.items()
-        for action in subparser._actions
-        for option in action.option_strings
-        if option.startswith("--")
+        (command, option, takes_value)
+        for command, (_, _, arguments) in GRAMMAR.items()
+        for option, takes_value in [("--help", False)]
+        + [(name, "action" not in kwargs) for name, kwargs, _ in _arguments(arguments) if name.startswith("--")]
     ]
 
 
@@ -188,6 +188,98 @@ def test_an_option_spelled_in_full_succeeds(argv):
 @pytest.mark.parametrize("argv", PREFIXES, ids=" ".join)
 def test_an_option_prefix_exits_2(argv):
     assert _exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("command", GRAMMAR)
+def test_the_parser_offers_the_grammar_long_options(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main([command, "--help"])
+    # An option's help line names it, and its metavar if it takes a value.
+    offered = re.findall(r"^  (?:-h, )?(--[\w-]+)( \S)?", out.getvalue(), re.M)
+    expected = {(option, takes_value) for c, option, takes_value in _long_options() if c == command}
+    assert {(option, bool(metavar)) for option, metavar in offered} == expected
+
+
+PARSER = build_parser()
+
+
+def _parsed(argv):
+    """vars() of the namespace that argparse returns for argv, or None where
+    it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args([_protect(a) for a in argv]))
+        except SystemExit:
+            return None
+
+
+def test_every_call_takes_the_fast_path():
+    calls = [argv for argv, _ in CALLS.values()] + [a for a in FULL_SPELLINGS if "--help" not in a]
+    for argv in calls:
+        walked = _walk([_protect(a) for a in argv])
+        assert walked is not None, argv
+        assert vars(walked) == _parsed(argv), argv
+
+
+_VALUES = [
+    "", "0", "3", "12", "-5", "+2", " 7", "1_0", "x", "path", "-path", "1/2", "-inf",
+    "k1", "-k1", "k2", "+", "-+", "--", "s1s2", "json", "tsv", "svg", "text", "-1,0,1",
+]
+_OPTIONS = sorted({option for _, option, _ in _long_options()})
+
+
+def _tokens(options, words=()):
+    """Options, values and option=value tokens."""
+    return st.one_of(
+        st.sampled_from([*options, *words]),
+        st.sampled_from(_VALUES),
+        st.builds("{}={}".format, st.sampled_from(options), st.sampled_from(_VALUES)),
+    )
+
+
+def _call_and_options(command):
+    """The subcommand's call from CALLS with up to three of its own options,
+    --help aside, put anywhere after the subcommand.  An option is spelled
+    as in FULL_SPELLINGS, or else alone, followed by a value or joined to
+    one by "=", the value from CALLS or _VALUES."""
+    base, values = CALLS[command]
+    options = [(o, takes_value) for c, o, takes_value in _long_options() if c == command and o != "--help"]
+    if not options:
+        return st.just(base)
+    spelled = [argv[len(base) :] for option, t in options for argv in _spellings(command, option, t, option)]
+    option = st.sampled_from([option for option, _ in options])
+    value = st.sampled_from([*values.values(), *_VALUES])
+    chunk = st.one_of(
+        st.sampled_from(spelled),
+        st.builds(lambda o: [o], option),
+        st.builds(lambda o, v: [o, v], option, value),
+        st.builds(lambda o, v: [f"{o}={v}"], option, value),
+    )
+
+    def insert(placed):
+        argv = list(base)
+        for at, tokens in sorted(placed, key=lambda p: -p[0]):
+            argv[at:at] = tokens
+        return argv
+
+    return st.lists(st.tuples(st.integers(1, len(base)), chunk), max_size=3).map(insert)
+
+
+# Any tokens, or a subcommand's call with more of its options.
+_TOKENS = _tokens(_OPTIONS, [*GRAMMAR, "-h", "-x", "--bogus", "--kn"])
+_ARGVS = st.one_of(st.lists(_TOKENS, max_size=7), st.sampled_from(list(CALLS)).flatmap(_call_and_options))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGVS)
+def test_the_walk_agrees_with_argparse(argv):
+    """Where argparse exits the walk gives up; where argparse parses, the
+    walk gives up or returns the same namespace."""
+    walked = _walk([_protect(a) for a in argv])
+    parsed = _parsed(argv)
+    if walked is not None:
+        assert vars(walked) == parsed
 
 
 @pytest.mark.parametrize("argv", [["farey", "path", "-inf", "0"], ["farey", "path", "0", "-inf"]])
@@ -447,6 +539,34 @@ def test_usage_errors_echo_tokens_as_typed(argv, message):
     assert code == 2
     # "lensknots <command>: error: " from argparse, "error: " from main
     assert err.getvalue().splitlines()[-1].split("error: ", 1)[1].startswith(message)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mountain-range", "3", "1", "--structure", "+", "--depth", "3000"],
+        ["tight-structures", "400", "1", "--list"],
+    ],
+    ids=" ".join,
+)
+def test_a_closed_pipe_ends_the_call_quietly(argv):
+    """Both print well past a pipe's buffer, so the reader's close comes
+    while they write: exit 141, as a shell reports SIGPIPE, and no
+    traceback."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, "-S", "-m", "lensknots.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        assert child.stdout.read(10)
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (141, b"")
 
 
 def test_bad_slope_exit_code(capsys):

@@ -37,13 +37,31 @@ def test_library_does_not_import_dataclasses():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A call loads no dataclasses or inspect, and argparse, with the shutil
+    and locale (through gettext) that it pulls in, only for the help and
+    usage errors."""
     src = str(Path(lensknots.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, lensknots.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "[]"
+
+    def child(*argv):
+        """Exit code, standard output and the modules loaded of a CLI child;
+        -X importtime writes "import time: self | cumulative | module"."""
+        out = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "lensknots.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        loaded = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if "|" in line}
+        return out.returncode, out.stdout, loaded
+
+    code, out, loaded = child("mcg", "7", "2")
+    assert (code, out) == (0, "smooth: Z2 [tau]\ncontact: 1\n")
+    assert "lensknots.mcg" in loaded  # -m runs lensknots.cli as __main__
+    assert {"dataclasses", "inspect", "argparse", "shutil", "locale", "gettext"} & loaded == set()
+    code, out, loaded = child("farey", "-h")
+    assert code == 0 and out.startswith("usage: lensknots farey [-h] {path} FROM TO\n")
+    assert "argparse" in loaded
 
 
 def _names_reached(module, entry):
