@@ -196,8 +196,9 @@ _FORMAT = ("--format", dict(choices=["json", "tsv"], default="tsv"))
 
 # The grammar, stated once: per subcommand its function, its help line and
 # its arguments, each the name and keyword arguments of an add_argument
-# call; a list of options is a mutually exclusive group.  build_parser
-# builds the argparse parser from it and _walk parses a call with it.
+# call; a list of options is a mutually exclusive group.  _parse parses a
+# call with it, and build_parser builds the argparse parser that prints
+# the help and usage errors.
 GRAMMAR = {
     "farey": (
         cmd_farey,
@@ -270,153 +271,142 @@ def _arguments(arguments):
             yield (*entry, None)
 
 
-def build_parser(typed=None):
-    """The argparse parser of the grammar.  Its parser class takes options
-    only as spelled in full and quotes every token in its usage errors as
-    typed; a type=int argument takes ASCII digits with an optional sign
-    only.  `typed` maps each token that _protect padded to the token as
-    typed."""
+def build_parser(command=None):
+    """The argparse parser of the grammar, or of its subcommand `command`.
+    main uses it only to print the help and usage errors, never to parse."""
     import argparse
 
-    typed = typed or {}
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, allow_abbrev=False, **kwargs)
-            # argparse converts a type=int value with the function registered
-            # for int, and still names the type "int" in its usage errors.
-            self.register("type", int, _int)
-
-        def parse_args(self, args=None, namespace=None):
-            args, extras = self.parse_known_args(args, namespace)
-            if extras:
-                self.error(f"unrecognized arguments: {' '.join(typed.get(e, e) for e in extras)}")
-            return args
-
-        def error(self, message):
-            # argparse quotes a bad value by its repr, padding included.
-            for padded, token in typed.items():
-                i = padded.index(" ")
-                message = message.replace(repr(padded[i:]), repr(token[i:]))
-            super().error(message)
-
-    parser = _Parser(prog="lensknots", description="Exact contact-topological invariants of lens spaces")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (func, summary, arguments) in GRAMMAR.items():
-        subparser = sub.add_parser(command, help=summary)
+    description = "Exact contact-topological invariants of lens spaces"
+    parser = argparse.ArgumentParser(prog="lensknots", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, arguments) in GRAMMAR.items():
+        subparser = sub.add_parser(name, help=summary)
         groups = {}
-        for name, kwargs, group in _arguments(arguments):
+        for arg, kwargs, group in _arguments(arguments):
             if group is not None and group not in groups:
                 groups[group] = subparser.add_mutually_exclusive_group()
-            groups.get(group, subparser).add_argument(name, **kwargs)
-        subparser.set_defaults(func=func)
-    return parser
+            groups.get(group, subparser).add_argument(arg, **kwargs)
+    return sub.choices[command] if command else parser
 
 
-def _value(kwargs, token):
+class _Usage(Exception):
+    """A call that ends in the help or a usage error.  Its args are the
+    subcommand whose parser prints it, None for the top parser, and the
+    message, None for the help."""
+
+
+# Spelled like an option: -x, --name or --name=value.
+_OPTION = re.compile(r"-[A-Za-z]|--[A-Za-z][\w-]*(?:=.*)?", re.S)
+
+
+def _value(command, label, kwargs, token):
     """The token converted by the argument's type and checked against its
-    choices, as argparse does; ValueError where argparse reports an error."""
+    choices; a type=int value takes ASCII digits with an optional sign."""
     kind = kwargs.get("type")
-    value = _int(token) if kind is int else kind(token) if kind else token
-    if value not in kwargs.get("choices", (value,)):
-        raise ValueError(token)
+    try:
+        value = _int(token) if kind is int else kind(token) if kind else token
+    except ValueError:
+        raise _Usage(command, f"argument {label}: invalid {kind.__name__} value: {token!r}") from None
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _Usage(command, f"argument {label}: invalid choice: {value!r} (choose from {listed})")
     return value
 
 
-def _walk(tokens):
-    """The namespace, as vars() sees it, that build_parser's parser returns
-    for the _protect-padded tokens, or None where the walk cannot decide.
-
-    It decides calls that argparse parses without an error and without the
-    help: every option spelled in full, a value option followed by a value,
-    "=" after value options only, no two options of one exclusive group,
-    the right number of positionals, and a "+" positional in one run."""
-    if not tokens or tokens[0] not in GRAMMAR:
-        return None
-    func, _, arguments = GRAMMAR[tokens[0]]
-    values = {"command": tokens[0]}
-    positionals, options = [], {}
+def _subcommand(command):
+    """The namespace of a call of the subcommand before its arguments are
+    read, its options by name and its positionals in order."""
+    func, _, arguments = GRAMMAR[command]
+    values, options, positionals = {"command": command, "func": func}, {}, []
     for name, kwargs, group in _arguments(arguments):
         if name.startswith("-"):
             dest = kwargs.get("dest", name[2:].replace("-", "_"))
-            values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+            flag = kwargs.get("action") == "store_true"
+            values[dest] = kwargs.get("default", False if flag else None)
             options[name] = dest, kwargs, group
         else:
-            values[name] = None
             positionals.append((name, kwargs))
-    loose, chosen, after_option, split = [], {}, False, False
-    rest = iter(tokens[1:])
-    try:
-        for token in rest:
-            if not token.startswith("-"):
-                split = split or after_option
-                loose.append(token)
-                continue
-            after_option = bool(loose)
-            name, eq, value = token.partition("=")
-            if name not in options:  # the help, or not an option in full
-                return None
-            dest, kwargs, group = options[name]
-            if group is not None and chosen.setdefault(group, name) != name:
-                return None
-            action = kwargs.get("action")
-            if action is None:
-                if not eq:
-                    value = next(rest, "-")
-                    if value.startswith("-"):  # no value follows
-                        return None
-                values[dest] = _value(kwargs, value)
-            elif eq:
-                return None
+    return values, options, positionals
+
+
+def _parse(argv):
+    """The namespace of the call, with argparse's attributes and func;
+    raises _Usage for the help and for argparse's usage errors.
+
+    A token is an option only if _OPTION spells it; every other token is a
+    value, wherever it stands.  The first value names the subcommand, and
+    the values after it fill its positionals in order, a "+" positional
+    taking values up to the next option.  A value option takes the next
+    token or its "=" value.  As in argparse, the help, a bad value, a value
+    option without a value, "=" after a flag and two options of one
+    exclusive group end the call where they stand; then a missing
+    positional does; unknown options and values left over are reported
+    last, by the top parser."""
+    command, values, extras = None, {}, []
+    options, positionals = {}, [("command", {"choices": GRAMMAR})]  # the top parser's
+    chosen, more = {}, None
+    tokens = iter(argv)
+    for token in tokens:
+        if _OPTION.fullmatch(token) is None:
+            if more:
+                label, kwargs, taken = more
+                taken.append(_value(command, label, kwargs, token))
+            elif not positionals:
+                extras.append(token)
+            elif command is None:  # the rest of the call is the subcommand's
+                command = _value(None, "command", positionals.pop()[1], token)
+                values, options, positionals = _subcommand(command)
             else:
-                values[dest] = True if action == "store_true" else kwargs["const"]
-        if positionals and positionals[-1][1].get("nargs") == "+":
-            n = len(positionals) - 1
-            if split or len(loose) <= n:
-                return None
-            loose[n:] = [loose[n:]]
-        if len(loose) != len(positionals):
-            return None
-        for (name, kwargs), token in zip(positionals, loose):
-            if isinstance(token, list):
-                values[name] = [_value(kwargs, t) for t in token]
-            else:
-                values[name] = _value(kwargs, token)
-    except ValueError:
-        return None
-    values["func"] = func
+                name, kwargs = positionals.pop(0)
+                label = kwargs.get("metavar", name)
+                values[name] = _value(command, label, kwargs, token)
+                if kwargs.get("nargs") == "+":
+                    values[name] = [values[name]]
+                    more = label, kwargs, values[name]
+            continue
+        more = None
+        name, eq, value = token.partition("=")
+        if name in ("-h", "--help"):
+            if eq:
+                raise _Usage(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            raise _Usage(command, None)
+        if name not in options:
+            extras.append(token)
+            continue
+        dest, kwargs, group = options[name]
+        action = kwargs.get("action")
+        if action is None:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _OPTION.fullmatch(value):
+                    raise _Usage(command, f"argument {name}: expected one argument")
+            values[dest] = _value(command, name, kwargs, value)
+        elif eq:
+            raise _Usage(command, f"argument {name}: ignored explicit argument {value!r}")
+        else:
+            values[dest] = True if action == "store_true" else kwargs["const"]
+        if group is not None and chosen.setdefault(group, name) != name:
+            raise _Usage(command, f"argument {name}: not allowed with argument {chosen[group]}")
+    if positionals:
+        names = ", ".join(kwargs.get("metavar", name) for name, kwargs in positionals)
+        raise _Usage(command, f"the following arguments are required: {names}")
+    if extras:
+        raise _Usage(None, f"unrecognized arguments: {' '.join(extras)}")
     return types.SimpleNamespace(**values)
 
 
-# Spelled like an option: -x, --name or --name=value (group 1 holds the value).
-_OPTION = re.compile(r"-[A-Za-z]|--[A-Za-z][\w-]*(?:=(.*))?", re.S)
-
-
-def _protect(token: str) -> str:
-    """Pad with a space a value that argparse would take for an option.
-
-    A token is an option only if it is spelled like one; every other token
-    that starts with "-" is a value (-5, -inf, -k1, -+, --, -1,0,1).  A
-    --name=value whose value starts with "-" is padded after the "=", as
-    argparse drops a bare "--".  int, Slope.parse and str.strip drop the
-    space, and _Parser's usage errors quote the token without it."""
-    m = _OPTION.fullmatch(token)
-    if m is None:
-        return " " + token if token.startswith("-") else token
-    if m[1] and m[1].startswith("-"):
-        return f"{token[: m.start(1)]} {m[1]}"
-    return token
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    tokens = [_protect(a) for a in argv]
-    # argparse parses only what the walk gives up on: the help and argparse's
-    # usage errors come from it alone.
-    args = _walk(tokens)
-    if args is None:
-        args = build_parser({t: a for t, a in zip(tokens, argv) if t != a}).parse_args(tokens)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        # argparse prints the help (exit 0) or the usage line and error (exit 2).
+        command, message = exc.args
+        parser = build_parser(command)
+        if message is None:
+            parser.print_help()
+            parser.exit()
+        parser.error(message)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -125,14 +125,11 @@ class ShuffleClass(_Record):
 
     @property
     def signs(self) -> tuple[str, ...]:
-        out = []
-        for size, plus in zip(self.blocks, self.plus_counts):
-            out.extend(["+"] * plus + ["-"] * (size - plus))
-        return tuple(out)
+        return tuple(self.sign_string)
 
     @property
     def sign_string(self) -> str:
-        return "".join(self.signs)
+        return "".join("+" * plus + "-" * (size - plus) for size, plus in zip(self.blocks, self.plus_counts))
 
 
 def enumerate_tight(p: int, q: int) -> list[ShuffleClass]:

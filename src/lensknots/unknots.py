@@ -145,6 +145,5 @@ def mountain_range(
 ) -> MountainRange:
     """Peak plus its stabilization cone down to the given depth."""
     _require_structure_on(p, q, ts)
-    i, sign = _knot(knot)
-    rot = Fraction(sign * _block_sums(ts)[i], p)
-    return MountainRange(knot, (rot, ts.decoration.peak_tb[i]), depth)
+    i, _ = _knot(knot)
+    return MountainRange(knot, (rot_q_farey(ts, knot), ts.decoration.peak_tb[i]), depth)

@@ -11,12 +11,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lensknots.checks import lens_pairs
-from lensknots.cli import GRAMMAR, _arguments, _protect, _walk, build_parser, main
-from lensknots.slopes import Slope
+from lensknots.cli import _OPTION, GRAMMAR, _arguments, _parse, _Usage, build_parser, main
+from lensknots.slopes import Slope, _int
 from lensknots.tight import class_from_signs, enumerate_tight
 from lensknots.unknots import legendrian_classification, mountain_range
 
@@ -201,27 +201,6 @@ def test_the_parser_offers_the_grammar_long_options(command):
     assert {(option, bool(metavar)) for option, metavar in offered} == expected
 
 
-PARSER = build_parser()
-
-
-def _parsed(argv):
-    """vars() of the namespace that argparse returns for argv, or None where
-    it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(PARSER.parse_args([_protect(a) for a in argv]))
-        except SystemExit:
-            return None
-
-
-def test_every_call_takes_the_fast_path():
-    calls = [argv for argv, _ in CALLS.values()] + [a for a in FULL_SPELLINGS if "--help" not in a]
-    for argv in calls:
-        walked = _walk([_protect(a) for a in argv])
-        assert walked is not None, argv
-        assert vars(walked) == _parsed(argv), argv
-
-
 _VALUES = [
     "", "0", "3", "12", "-5", "+2", " 7", "1_0", "x", "path", "-path", "1/2", "-inf",
     "k1", "-k1", "k2", "+", "-+", "--", "s1s2", "json", "tsv", "svg", "text", "-1,0,1",
@@ -271,15 +250,84 @@ _TOKENS = _tokens(_OPTIONS, [*GRAMMAR, "-h", "-x", "--bogus", "--kn"])
 _ARGVS = st.one_of(st.lists(_TOKENS, max_size=7), st.sampled_from(list(CALLS)).flatmap(_call_and_options))
 
 
+KNOWN = {}  # each subcommand's long options, --help included
+for _command, _option, _ in _long_options():
+    KNOWN.setdefault(_command, set()).add(_option)
+
+
+def _argparse_reads(argv):
+    """argv spelled for argparse to read it by the spelling rule.  A value
+    that starts with "-", and the "=" value of an option known where it
+    stands when it starts with "-", are padded with a space, as argparse
+    takes a token that holds one for a value; so an unknown --name=value
+    whose value holds a space is cut to --name.  Before the subcommand only
+    --help is known."""
+    command, read = None, []
+    for token in argv:
+        name, eq, value = token.partition("=")
+        known = name in KNOWN.get(command, {"--help"})
+        if _OPTION.fullmatch(token) is None:
+            command = token if command is None else command
+            read.append(" " + token if token.startswith("-") else token)
+        elif eq and known and value.startswith("-"):
+            read.append(f"{name}= {value}")
+        elif eq and not known and " " in value:
+            read.append(name)
+        else:
+            read.append(token)
+    return read
+
+
+ARGPARSE = build_parser()
+for _parser in (ARGPARSE, *{a.dest: a for a in ARGPARSE._actions}["command"].choices.values()):
+    # As the walk reads them: options in full only, type=int values by _int.
+    _parser.allow_abbrev = False
+    _parser.register("type", int, _int)
+
+
+def _argparse_outcome(argv):
+    """vars() of argparse's namespace for argv with the pad stripped, or,
+    where argparse exits, its exit status and the parser that prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(ARGPARSE.parse_args(_argparse_reads(argv)))
+        except SystemExit as exc:
+            # The help and a usage error both start "usage: <prog> [-h]".
+            return exc.code, (out.getvalue() or err.getvalue()).split(" [-h]")[0]
+    return {k: v[1:] if isinstance(v, str) and v.startswith(" -") else v for k, v in parsed.items()}
+
+
+def _walk_outcome(argv):
+    """vars() of the walk's namespace without func, or the exit status and
+    the parser that prints, as _argparse_outcome gives them."""
+    try:
+        walked = vars(_parse(argv))
+    except _Usage as exc:
+        command, message = exc.args
+        return 0 if message is None else 2, "usage: lensknots" + (f" {command}" if command else "")
+    return {k: v for k, v in walked.items() if k != "func"}
+
+
+def _examples(argvs):
+    """Run a Hypothesis test on each argv as an explicit example."""
+
+    def decorate(test):
+        for argv in argvs:
+            test = example(argv)(test)
+        return test
+
+    return decorate
+
+
+@_examples([argv for argv, _ in CALLS.values()] + FULL_SPELLINGS)
 @settings(max_examples=300, deadline=None)
 @given(_ARGVS)
-def test_the_walk_agrees_with_argparse(argv):
-    """Where argparse exits the walk gives up; where argparse parses, the
-    walk gives up or returns the same namespace."""
-    walked = _walk([_protect(a) for a in argv])
-    parsed = _parsed(argv)
-    if walked is not None:
-        assert vars(walked) == parsed
+def test_the_walk_and_argparse_agree_both_ways(argv):
+    """Where argparse parses, the walk returns the same namespace; where
+    argparse exits, the walk ends the call with the same exit status, in
+    the same parser."""
+    assert _walk_outcome(argv) == _argparse_outcome(argv)
 
 
 @pytest.mark.parametrize("argv", [["farey", "path", "-inf", "0"], ["farey", "path", "0", "-inf"]])
@@ -527,6 +575,14 @@ def test_usage_error_message(capsys, argv):
         (["mcg", "1_2", "5"], "invalid literal for int() with base 10: '1_2'"),
         (["check", "--pmax", "\uff12"], "argument --pmax: invalid int value: '\uff12'"),
         (["surgery", "5", "2", "--rots", "1_1"], "--rots takes comma-separated integers, got '1_1'"),
+        # An unknown --name=value is an unrecognized argument, whatever its value.
+        (["farey", "path", "0", "--bogus=-1"], "the following arguments are required: TO"),
+        (["mcg", "8", "3", "--structure=-+"], "unrecognized arguments: --structure=-+"),
+        # Before the subcommand every option but the help is unknown.
+        (["--pmax=-5", "check", "--pmax", "3"], "unrecognized arguments: --pmax=-5"),
+        # P Q | s1s2 takes one run of values: any option ends it.
+        (["mcg", "8", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        (["mcg", "8", "--smooth", "3"], "unrecognized arguments: 3"),
     ],
 )
 def test_usage_errors_echo_tokens_as_typed(argv, message):
