@@ -320,10 +320,25 @@ def _examples(argvs):
     return decorate
 
 
+def test_every_call_takes_the_fast_path(monkeypatch):
+    """Each call of CALLS and FULL_SPELLINGS but --help runs on the walk's
+    namespace, the one argparse gives, without building argparse."""
+
+    def build_parser(command=None):
+        raise AssertionError("argparse built for a call that parses")
+
+    monkeypatch.setattr("lensknots.cli.build_parser", build_parser)
+    calls = [argv for argv, _ in CALLS.values()] + [a for a in FULL_SPELLINGS if "--help" not in a]
+    for argv in calls:
+        assert isinstance(_walk_outcome(argv), dict), argv
+        assert _walk_outcome(argv) == _argparse_outcome(argv), argv
+        assert _exit_code(argv) == 0, argv
+
+
 @_examples([argv for argv, _ in CALLS.values()] + FULL_SPELLINGS)
 @settings(max_examples=300, deadline=None)
 @given(_ARGVS)
-def test_the_walk_and_argparse_agree_both_ways(argv):
+def test_the_walk_agrees_with_argparse(argv):
     """Where argparse parses, the walk returns the same namespace; where
     argparse exits, the walk ends the call with the same exit status, in
     the same parser."""
