@@ -186,7 +186,7 @@ def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Oracle for unknots.rot_q_farey: the signed sum over every decorated
     edge, one term per edge, without the shuffle blocks."""
     i, sign = _knot(knot)
-    return sign * _edge_sum(ts.p, ts.signs, _edge_weights(ts.path)[i])
+    return sign * _edge_sum(ts.p, ts.sign_string, _edge_weights(ts.path)[i])
 
 
 def _block_failures(tight):
@@ -197,7 +197,7 @@ def _block_failures(tight):
         yield None if runs else f"L({p},{q}) shuffle blocks"
         weights = dict(zip(KNOTS, _edge_weights(path)))
         for i, ts in enumerate(classes):
-            signs = ts.signs
+            signs = ts.sign_string
             for knot in KNOTS:
                 if rot_q_farey(ts, knot) != _edge_sum(p, signs, weights[knot]):
                     yield f"L({p},{q}) class {i} {knot}"

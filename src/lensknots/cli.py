@@ -41,6 +41,19 @@ def _structures(p, q, signs):
     return [class_from_signs(p, q, signs)]
 
 
+def _write(head, chunks, sep, tail) -> None:
+    """Write head, the chunks joined by sep and tail, one write per chunk.
+    A JSON document's last list streams after json.dumps of the document
+    with that list empty, cut before its "]}".  Callers run all that can
+    fail first, so a failing call writes nothing."""
+    sys.stdout.write(head)
+    lead = ""
+    for chunk in chunks:
+        sys.stdout.write(lead + chunk)
+        lead = sep
+    sys.stdout.write(tail)
+
+
 def cmd_farey(args) -> int:
     path = geodesic(Slope.parse(args.frm), Slope.parse(args.to))
     print(json.dumps([str(v) for v in path]))
@@ -57,11 +70,8 @@ def cmd_bypass(args) -> int:
 def cmd_tight(args) -> int:
     if args.list:
         classes = enumerate_tight(args.p, args.q)
-        payload = {
-            "path": [str(v) for v in classes[0].path],
-            "structures": [ts.sign_string for ts in classes],
-        }
-        print(json.dumps(payload))
+        doc = {"path": [str(v) for v in classes[0].path], "structures": []}
+        _write(json.dumps(doc)[:-2], (json.dumps(ts.sign_string) for ts in classes), ", ", "]}\n")
     else:
         print(count_tight_lens(args.p, args.q))
     return 0
@@ -98,27 +108,16 @@ def cmd_surgery(args) -> int:
 
 def cmd_unknots(args) -> int:
     columns = ("structure", "knot", "tb_q", "rot_q", "sl_q")
-    rows = [
+    rows = (
         (ts.sign_string, c.knot, str(c.tb_q), str(c.rot_q), str(c.sl_q))
         for ts in _structures(args.p, args.q, args.structure)
         for c in legendrian_classification(args.p, args.q, ts)
-    ]
+    )
     if args.format == "json":
-        print(json.dumps([dict(zip(columns, row)) for row in rows]))
+        _write("[", (json.dumps(dict(zip(columns, row))) for row in rows), ", ", "]\n")
     else:
-        for row in (columns, *rows):
-            print("\t".join(row))
+        _write("\t".join(columns) + "\n", ("\t".join(row) + "\n" for row in rows), "", "")
     return 0
-
-
-def _write_points(mr, rots, tbs, sep) -> None:
-    """Write the points of the mountain range mr joined by sep, one write
-    per row; rots and tbs render its rot and tb columns so that the point
-    (rots[i], tbs[k]) reads rots[i] + tbs[k]."""
-    lead = ""
-    for tb, row in mr.rows(rots, tbs):
-        sys.stdout.write(lead + (tb + sep).join(row) + tb)
-        lead = sep
 
 
 def cmd_mountain(args) -> int:
@@ -127,30 +126,30 @@ def cmd_mountain(args) -> int:
         raise ValueError("ambiguous tight structure; pass --structure SIGNS")
     mr = mountain_range(args.p, args.q, classes[0], args.knot, args.depth)
     rots, tbs = mr.columns()
+    # Each rot and tb is rendered once: the point (rots[i], tbs[k]) reads
+    # cells[i] + ends[k], and the points are joined by sep.
     if args.format == "json":
         peak = [str(mr.peak[0]), str(mr.peak[1])]
         doc = {"knot": mr.knot, "peak": peak, "depth": mr.depth, "points": []}
-        # json.dumps(doc) ends in "points": []}; the points go between the brackets.
-        sys.stdout.write(json.dumps(doc)[:-2])
+        head, sep, tail = json.dumps(doc)[:-2], ", ", "]}\n"
         cells = ["[" + json.dumps(str(r)) for r in rots]
-        _write_points(mr, cells, [f", {json.dumps(str(t))}]" for t in tbs], ", ")
-        sys.stdout.write("]}\n")
+        ends = [f", {json.dumps(str(t))}]" for t in tbs]
     elif args.format == "svg":
         unit = 30  # pixels per rot and per tb unit, keeping the grid square
         x0, x1 = min(rots) - 1, max(rots) + 1
         y0, y1 = min(tbs) - 1, max(tbs) + 1
         width, height = int((x1 - x0) * unit), int((y1 - y0) * unit)
-        sys.stdout.write(
+        head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n'
         )
-        cxs = [f'<circle cx="{float((r - x0) * unit):.1f}' for r in rots]
-        cys = [f'" cy="{float((y1 - t) * unit):.1f}" r="4" fill="black"/>' for t in tbs]
-        _write_points(mr, cxs, cys, "\n")
-        sys.stdout.write("\n</svg>\n")
+        sep, tail = "\n", "\n</svg>\n"
+        cells = [f'<circle cx="{float((r - x0) * unit):.1f}' for r in rots]
+        ends = [f'" cy="{float((y1 - t) * unit):.1f}" r="4" fill="black"/>' for t in tbs]
     else:
-        sys.stdout.write("rot_q\ttb_q\n")
-        _write_points(mr, [str(r) for r in rots], [f"\t{t}\n" for t in tbs], "")
+        head, sep, tail = "rot_q\ttb_q\n", "", ""
+        cells, ends = [str(r) for r in rots], [f"\t{t}\n" for t in tbs]
+    _write(head, ((end + sep).join(row) + end for end, row in mr.rows(cells, ends)), sep, tail)
     return 0
 
 

@@ -124,10 +124,6 @@ class ShuffleClass(_Record):
         return self.decoration.blocks
 
     @property
-    def signs(self) -> tuple[str, ...]:
-        return tuple(self.sign_string)
-
-    @property
     def sign_string(self) -> str:
         return "".join("+" * plus + "-" * (size - plus) for size, plus in zip(self.blocks, self.plus_counts))
 

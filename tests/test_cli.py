@@ -479,11 +479,25 @@ class _Discard:
         pass
 
 
-@pytest.mark.parametrize("fmt", ["tsv", "json", "svg"])
-def test_mountain_range_memory_is_bounded(fmt):
-    # 45 451 points: holding them all, or their rendering, takes 8-12 MiB;
-    # writing row by row needs the 601 rot and 301 tb values and one row.
-    argv = ["mountain-range", "3", "1", "--structure", "+", "--depth", "300", "--format", fmt]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            pytest.param(["mountain-range", "3", "1", "--structure", "+", "--depth", "300", "--format", f], id=f)
+            for f in ("tsv", "json", "svg")
+        ),
+        ["tight-structures", "1000", "1", "--list"],
+        ["unknots", "1000", "1"],
+        ["unknots", "1000", "1", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_mountain_range_memory_is_bounded(argv):
+    """Every list command writes row by row.  The mountain range's 45 451
+    points, held or rendered, take 8-12 MiB; written row by row they need
+    the 601 rot and 301 tb values and one row.  The 999 classes on
+    L(1000,1) carry about a million signs, which rendered whole take
+    2.6-8.2 MiB; written class by class they need the records and one row."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_Discard()):
@@ -558,12 +572,19 @@ def test_usage_error_exit_code():
         ["mcg", "s1s2", "--kernel"],
         ["surgery", "5", "2", "--rots", ""],
         ["surgery", "5", "2", "--rots= "],
+        # A failing call writes nothing on stdout, even where it streams.
+        ["unknots", "12", "5", "--structure", "+++"],
+        ["unknots", "12", "5", "--structure", "x+"],
+        ["mountain-range", "12", "5", "--structure", "+++"],
+        ["tight-structures", "4", "2", "--list"],
     ],
 )
 def test_usage_error_message(capsys, argv):
     code = main(argv)
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -620,12 +641,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     [
         ["mountain-range", "3", "1", "--structure", "+", "--depth", "3000"],
         ["tight-structures", "400", "1", "--list"],
+        ["unknots", "400", "1", "--format", "json"],
     ],
     ids=" ".join,
 )
 def test_a_closed_pipe_ends_the_call_quietly(argv):
-    """Both print well past a pipe's buffer, so the reader's close comes
-    while they write: exit 141, as a shell reports SIGPIPE, and no
+    """Each prints well past a pipe's buffer, so the reader's close comes
+    while it writes: exit 141, as a shell reports SIGPIPE, and no
     traceback."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     with subprocess.Popen(

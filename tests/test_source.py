@@ -19,6 +19,13 @@ def test_library_has_no_assert():
     assert hits == []
 
 
+def test_library_parses_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10, so no module may use
+    newer syntax, such as except* or a type statement."""
+    for path in sorted(Path(lensknots.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_library_does_not_import_dataclasses():
     """Records are hand-written: importing dataclasses loads inspect (and with
     it ast, dis and tokenize), which every CLI call would pay at start-up."""
