@@ -14,7 +14,7 @@ from fractions import Fraction
 from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
 from .slopes import Slope, _Record, _set, farey_mul
-from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_matrix, rot_q_surgery
+from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_det, linking_matrix, rot_q_surgery
 from .tight import (
     ShuffleClass,
     count_tight_lens,
@@ -206,9 +206,12 @@ def _block_failures(tight):
 
 
 def _det_failures(tight):
-    # The linking matrix reads only the framings, which k1 and k2 share.
+    # The linking matrix reads only the framings, which k1 and k2 share;
+    # Bareiss checks both p and the continuant that surgery prints as det.
     for p, q in tight:
-        yield None if abs(det_bareiss(linking_matrix(build_chain(p, q)))) == p else f"L({p},{q})"
+        chain = build_chain(p, q)
+        det = det_bareiss(linking_matrix(chain))
+        yield None if abs(det) == p and linking_det(chain) == det else f"L({p},{q})"
 
 
 def _mcg_failures(tight):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every numeric output is an exact fraction rendered as a "num/den" string
-(or a bare integer, or "inf"); nothing is ever printed as a float, so JSON
-output round-trips to the identical values.
+Every value in tsv and json output is an exact fraction rendered as a
+"num/den" string (or a bare integer, or "inf"), so JSON output round-trips
+to the identical values; SVG pixel coordinates are the one rounded output.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ def _group_str(g) -> str:
     if g.tag == "trivial":
         return "1"
     return f"{g.tag} [{' '.join(g.generators)}]"
-
-
-def _structures(p, q, signs):
-    if signs is None:
-        return enumerate_tight(p, q)
-    return [class_from_signs(p, q, signs)]
 
 
 def _write(head, chunks, sep, tail) -> None:
@@ -107,11 +101,12 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_unknots(args) -> int:
+    p, q, signs = args.p, args.q, args.structure
     columns = ("structure", "knot", "tb_q", "rot_q", "sl_q")
     rows = (
         (ts.sign_string, c.knot, str(c.tb_q), str(c.rot_q), str(c.sl_q))
-        for ts in _structures(args.p, args.q, args.structure)
-        for c in legendrian_classification(args.p, args.q, ts)
+        for ts in (enumerate_tight(p, q) if signs is None else [class_from_signs(p, q, signs)])
+        for c in legendrian_classification(p, q, ts)
     )
     if args.format == "json":
         _write("[", (json.dumps(dict(zip(columns, row))) for row in rows), ", ", "]\n")
@@ -121,10 +116,10 @@ def cmd_unknots(args) -> int:
 
 
 def cmd_mountain(args) -> int:
-    classes = _structures(args.p, args.q, args.structure)
-    if len(classes) != 1:
+    if args.structure is None and count_tight_lens(args.p, args.q) != 1:
         raise ValueError("ambiguous tight structure; pass --structure SIGNS")
-    mr = mountain_range(args.p, args.q, classes[0], args.knot, args.depth)
+    ts = class_from_signs(args.p, args.q, args.structure or "")
+    mr = mountain_range(args.p, args.q, ts, args.knot, args.depth)
     rots, tbs = mr.columns()
     # Each rot and tb is rendered once: the point (rots[i], tbs[k]) reads
     # cells[i] + ends[k], and the points are joined by sep.

@@ -24,25 +24,10 @@ def in_arc(x: Slope, start: Slope, stop: Slope) -> bool:
     return farey_mul(start, x) * farey_mul(x, stop) * farey_mul(stop, start) > 0
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(|a|, |b|) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        t = old_r // r
-        old_r, r = r, old_r - t * r
-        old_x, x = x, old_x - t * x
-        old_y, y = y, old_y - t * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def _ceil_div(n: int, d: int) -> int:
-    if d < 0:
-        n, d = -n, -d
-    return -((-n) // d)
+def _bezout(n: int, d: int) -> tuple[int, int]:
+    """(x, y) with n*x + d*y == 1, for coprime n and d >= 0 (inf = 1/0)."""
+    x = pow(n, -1, d) if d else 1
+    return x, (1 - n * x) // d if d else 0
 
 
 def neighbor_family(s: Slope) -> tuple[int, int]:
@@ -52,7 +37,7 @@ def neighbor_family(s: Slope) -> tuple[int, int]:
     integer k; as k decreases the family sweeps clockwise around the circle,
     approaching s from its clockwise side as k -> +infinity.
     """
-    _, x, y = _egcd(s.num, s.den)
+    x, y = _bezout(s.num, s.den)
     return y, -x
 
 
@@ -67,7 +52,7 @@ def farthest_neighbor(s: Slope, bound: Slope) -> Slope:
     c, d = neighbor_family(s)
     # The family member indexed k passes bound at k = (bound.num*d - c*bound.den)/e;
     # the smallest integer k at or past that crossing is the farthest neighbor.
-    k = _ceil_div(bound.num * d - c * bound.den, e)
+    k = -((c * bound.den - bound.num * d) // e)
     return Slope(c + k * s.num, d + k * s.den)
 
 
@@ -109,7 +94,7 @@ def bfs_oracle(start: Slope, stop: Slope) -> list[Slope]:
     queue = deque([(sn, sd)])
     while True:  # the graph holds a shortest path, so stop is reached
         cur = n, d = queue.popleft()
-        _, x, y = _egcd(n, d)
+        x, y = _bezout(n, d)
         for k in range(-((den_max - x) // d), (den_max + x) // d + 1) if d else range(-m, m + 1):
             vn, vd = y + k * n, k * d - x
             if vd < 0:

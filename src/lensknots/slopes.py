@@ -188,6 +188,8 @@ def eval_neg_cf(coeffs: list[int]) -> Slope:
         raise ValueError("empty coefficient list")
     acc = Fraction(coeffs[-1])
     for r in reversed(coeffs[:-1]):
+        if not acc:
+            raise ValueError(f"{coeffs} divides by zero: a tail evaluates to 0")
         acc = r - Fraction(1) / acc
     return Slope.from_fraction(acc)
 

@@ -194,20 +194,19 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
 
 def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
-    rots (each one that rot_choices lists); M^-1 . lk is solved once and
-    put over one denominator, so each vector's sum is over integers."""
-    x = solve_exact(linking_matrix(chain), meridian_lk(chain))
-    den = math.lcm(*(xi.denominator for xi in x))
-    nums = [xi.numerator * (den // xi.denominator) for xi in x]
-    allowed = [_rots(r) for r in chain.framings]
-    out = []
+    rots (each one that rot_choices lists, checked before the solve); M^-1 . lk
+    is solved once and put over one denominator, so each vector's sum is over
+    integers."""
+    allowed, rots = [_rots(r) for r in chain.framings], list(rots)
     for rot in rots:
         if len(rot) != len(allowed):
             raise ValueError("wrong number of rotation numbers")
         if any(v not in a for v, a in zip(rot, allowed)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
-        out.append(Fraction(-sum(v * num for v, num in zip(rot, nums)), den))
-    return out
+    x = solve_exact(linking_matrix(chain), meridian_lk(chain))
+    den = math.lcm(*(xi.denominator for xi in x))
+    nums = [xi.numerator * (den // xi.denominator) for xi in x]
+    return [Fraction(-sum(v * num for v, num in zip(rot, nums)), den) for rot in rots]
 
 
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:

@@ -8,6 +8,7 @@ signs within blocks of mutually shuffleable edges.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .mcg import unknot_classes
@@ -68,7 +69,7 @@ def decoration(p: int, q: int) -> Decoration:
     chain order.  Vertices carry negative numerators and positive
     denominators, and the edge vectors are taken componentwise in that form.
     """
-    require_lens_pair(p, q)
+    peak, knots = peak_tb(p, q), tuple(unknot_classes(p, q))  # both validate (p, q)
     chain = neg_cf(Slope(-p, q))
     n = len(chain) - 1
     path, blocks, steps = [Slope(0)], [], []
@@ -82,8 +83,7 @@ def decoration(p: int, q: int) -> Decoration:
             path.append(Slope(num, den))
         x, y, x0, y0 = -r * x - x0, -r * y - y0, x, y
     path.reverse()
-    knots = tuple(unknot_classes(p, q))
-    return Decoration(p, q, tuple(path), tuple(blocks), tuple(steps), peak_tb(p, q), knots)
+    return Decoration(p, q, tuple(path), tuple(blocks), tuple(steps), peak, knots)
 
 
 class ShuffleClass(_Record):
@@ -159,10 +159,7 @@ def class_from_signs(p: int, q: int, signs: str) -> ShuffleClass:
 def count_tight_lens(p: int, q: int) -> int:
     """Closed-form count |(r_0+1)...(r_n+1)| of tight structures on L(p,q)."""
     require_lens_pair(p, q)
-    count = 1
-    for r in neg_cf(Slope(-p, q)):
-        count *= abs(r + 1)
-    return count
+    return math.prod(abs(r + 1) for r in neg_cf(Slope(-p, q)))
 
 
 def count_tight_solid(slope: Slope) -> int:
@@ -178,10 +175,7 @@ def count_tight_solid(slope: Slope) -> int:
     num, den = slope.num, slope.den
     k = -(num // den) - 1  # slope + k = (num + k*den)/den lies in [-1, 0)
     coeffs = neg_cf(Slope(den, num + k * den))
-    count = abs(coeffs[-1])
-    for r in coeffs[:-1]:
-        count *= abs(r + 1)
-    return count
+    return abs(coeffs[-1]) * math.prod(abs(r + 1) for r in coeffs[:-1])
 
 
 def is_universally_tight(ts: ShuffleClass) -> bool:

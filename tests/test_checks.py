@@ -6,7 +6,7 @@ from lensknots import checks, unknots
 from lensknots.checks import check_sweep, lens_pairs
 from lensknots.farey import bfs_oracle
 from lensknots.mcg import GroupDescription
-from lensknots.slopes import farey_sum
+from lensknots.slopes import cf_matrix_identity, farey_sum
 
 
 def test_lens_pairs():
@@ -101,6 +101,13 @@ def test_det_family_checks_each_lens_space(monkeypatch):
     monkeypatch.setattr(checks, "det_bareiss", lambda m: 0)
     assert _failures(4)["linking matrix determinant = p"] == "L(2,1)"
     assert list(checks._det_failures({(5, 2): [], (7, 3): []})) == ["L(5,2)", "L(7,3)"]
+
+
+def test_det_family_checks_the_sign_of_the_linking_det(monkeypatch):
+    # A linking_det without its (-1)^n has the right absolute value and the
+    # wrong sign on chains of odd length, the first being L(2,1)'s [-2].
+    monkeypatch.setattr(checks, "linking_det", lambda chain: cf_matrix_identity(chain.framings)[0])
+    assert _failures(4) == {"linking matrix determinant = p": "L(2,1)"}
 
 
 def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):

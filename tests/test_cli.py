@@ -508,6 +508,21 @@ def test_mountain_range_memory_is_bounded(argv):
     assert peak < 2 * 2**20
 
 
+def test_mountain_range_ambiguity_is_bounded(capsys):
+    """Without --structure, mountain-range needs the one structure of
+    q = p - 1 and decides that from the closed-form count: the 2^16
+    structures on L(5702887, 2178309) are never built."""
+    tracemalloc.start()
+    try:
+        code = main(["mountain-range", "5702887", "2178309"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: ambiguous tight structure; pass --structure SIGNS\n")
+    assert peak < 2 * 2**20
+
+
 def test_mcg_spot_values(capsys):
     code, out = run(capsys, "mcg", "8", "3")
     assert out.splitlines() == ["smooth: Z2xZ2 [sigma tau]", "contact: Z2 [sigma]"]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensknots.farey import (
-    _egcd,
     bfs_oracle,
     farthest_neighbor,
     geodesic,
@@ -155,8 +154,9 @@ def test_bfs_oracle_at_infinity():
 def reference_neighbors(n, d, den_bound, value_bound):
     """The Farey neighbors v of the reduced n/d (d >= 0, 1/0 = inf) with
     denominator <= den_bound and |v| <= value_bound, inf always included,
-    as reduced (num, den) pairs, from a fresh _egcd family of n/d."""
-    _, x, y = _egcd(n, d)
+    as reduced (num, den) pairs, from a fresh family of n/d."""
+    x = pow(n, -1, d) if d else 1  # n*x + d*y == 1
+    y = (1 - n * x) // d if d else 0
     c, e = y, -x  # n*e - d*c == -1
     if d == 0:
         lo, hi = -value_bound, value_bound

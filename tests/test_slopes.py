@@ -132,6 +132,8 @@ class TestNegCF:
             neg_cf(INFINITY)
         with pytest.raises(ValueError, match="empty coefficient list"):
             eval_neg_cf([])
+        with pytest.raises(ValueError, match="divides by zero"):
+            eval_neg_cf([-2, 0])
 
     @pytest.mark.parametrize(
         "x,message",

@@ -99,14 +99,18 @@ def test_oracles_stay_independent():
     fraction, never from the Farey geodesic or the shuffle criterion that
     check them (which live in farey and checks), and the Farey vs surgery
     check maps each class to its rotation vector from block sizes, plus
-    counts and framings alone, never from the edge vectors or the path."""
+    counts and framings alone, never from the edge vectors or the path.
+    Every farey and surgery name forbidden here is bound in its module, so
+    a deleted or renamed helper fails the test instead of passing it."""
     assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
-    shared = {"geodesic", "farthest_neighbor", "neighbor_family", "_ceil_div"}
+    shared = {"geodesic", "farthest_neighbor", "neighbor_family"}
+    assert shared <= vars(farey).keys()
     assert shared & _names_reached(farey, "bfs_oracle") == set()
     assert "cf_matrix_identity" in _names_reached(surgery, "linking_det")
+    continuant = {"cf_matrix_identity", "linking_det", "neg_cf"}
+    assert continuant <= vars(surgery).keys()
     for oracle in ("det_bareiss", "solve_exact"):
-        reached = _names_reached(surgery, oracle)
-        assert {"cf_matrix_identity", "linking_det", "neg_cf"} & reached == set(), oracle
+        assert continuant & _names_reached(surgery, oracle) == set(), oracle
     reached = _names_reached(tight, "decoration")
     assert "neg_cf" in reached
     oracles = {"geodesic", "farthest_neighbor", "groupby", "block_partition", "farey_mul"}

@@ -308,6 +308,22 @@ class TestRotation:
                 with pytest.raises(ValueError, match=r"rotation numbers need \|rot_i\|"):
                     rot_q_surgery(chain, [rot])
 
+    def test_checks_every_vector_before_the_solve(self, monkeypatch):
+        # The solve is cubic in the chain length, so a bad vector is reported
+        # without it; rots may be an iterator, read once.
+        def no_solve(matrix, rhs):
+            raise RuntimeError("solve_exact ran before the vectors were checked")
+
+        monkeypatch.setattr(surgery, "solve_exact", no_solve)
+        chain = SurgeryChain((-3, -2))
+        with pytest.raises(ValueError, match="wrong number of rotation numbers"):
+            rot_q_surgery(chain, iter([(1, 0), (1,)]))
+        with pytest.raises(ValueError, match=r"rotation numbers need \|rot_i\|"):
+            rot_q_surgery(chain, iter([(1, 0), (3, 0)]))
+        monkeypatch.undo()
+        rots = [(1, 0), (-1, 0)]
+        assert rot_q_surgery(chain, iter(rots)) == rot_q_surgery(chain, rots)
+
     def test_matches_the_sum_over_solve_exact(self):
         # -sum rot_i * x_i over solve_exact's fractions, for every rotation
         # vector of every chain with p <= 40.
