@@ -7,6 +7,7 @@ class index) instead of raising, so the CLI can show it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -66,63 +67,71 @@ def lens_pairs(p_max: int):
                 yield p, q
 
 
-def _check(name, outcomes):
-    """Run a family's comparisons up to the first failure.  Each item of
-    outcomes is one comparison: None when it holds, else the failure.  A
-    family that makes no comparison fails."""
+def _check(name, outcomes, cases=0, seconds=0.0):
+    """Run a family's comparisons up to the first failure, on from `cases`
+    comparisons already made in `seconds`.  Each item of outcomes is one
+    comparison: None when it holds, else the failure.  A family that makes
+    no comparison fails."""
     t0 = time.perf_counter()
-    cases, failure = 0, None
+    failure = None
     for failure in outcomes:
         cases += 1
         if failure is not None:
             break
     if not cases:
         failure = "no cases"
-    return CheckResult(name, failure is None, failure, cases, time.perf_counter() - t0)
+    return CheckResult(name, failure is None, failure, cases, seconds + time.perf_counter() - t0)
+
+
+def _lens_space(p, q, classes):
+    """One lens space's entry of a check_sweep batch: (p, q), its tight
+    structures, the Farey rot_Q of each for k1 and for k2, and the chain
+    of each knot."""
+    rots = tuple([rot_q_farey(ts, knot) for ts in classes] for knot in KNOTS)
+    return p, q, classes, rots, tuple(build_chain(p, q, knot) for knot in KNOTS)
 
 
 def check_sweep(p_max: int) -> SweepReport:
     """Run the seven cross-module check families over all L(p,q), p <= p_max.
 
-    The tight structures of each L(p,q) are enumerated once and shared by
-    the six families that read them."""
+    The sweep goes one p at a time: the lens spaces of that p, their tight
+    structures, Farey rotation numbers and chains make one batch, which
+    every family that has not failed reads before the batch is dropped."""
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     t0 = time.perf_counter()
-    tight = {(p, q): enumerate_tight(p, q) for p, q in lens_pairs(p_max)}
-    checks = [
-        _check("tight-count formula vs enumeration", _count_failures(tight)),
-        _check("geodesic vs BFS oracle", _geodesic_failures(tight)),
-        _check("rotation numbers: Farey vs surgery", _rot_failures(tight)),
-        _check("rotation numbers: blocks vs edges", _block_failures(tight)),
-        _check("linking matrix determinant = p", _det_failures(tight)),
-        _check("MCG divisibility and iso criterion", _mcg_failures(tight)),
-        _check("universally tight counts", _univ_failures(tight)),
-    ]
-    return SweepReport(p_max, tuple(checks), time.perf_counter() - t0)
+    results = [CheckResult(name, True) for name, _ in _FAMILIES]
+    for _, pairs in itertools.groupby(lens_pairs(p_max), key=lambda pq: pq[0]):
+        batch = [_lens_space(p, q, enumerate_tight(p, q)) for p, q in pairs]
+        # A failed family stops; one without a comparison yet runs on.
+        results = [
+            _check(r.name, family(batch), r.cases, r.seconds) if r.passed or not r.cases else r
+            for r, (_, family) in zip(results, _FAMILIES)
+        ]
+    return SweepReport(p_max, tuple(results), time.perf_counter() - t0)
 
 
-# Each family takes the {(p, q): enumerate_tight(p, q)} map of check_sweep,
-# in lens_pairs order, and yields one item per comparison, smallest first:
-# None where it holds, else the counterexample.
+# Each family takes a batch, a list of _lens_space entries in lens_pairs
+# order, and yields one item per comparison, smallest first: None where it
+# holds, else the counterexample.
 
 
-def _count_failures(tight):
-    for (p, q), classes in tight.items():
+def _count_failures(batch):
+    for p, q, classes, _, _ in batch:
         yield None if len(classes) == count_tight_lens(p, q) else f"L({p},{q})"
 
 
-def _geodesic_failures(tight):
+def _geodesic_failures(batch):
     # The decorated path, walked off the chain, against the geodesic and the BFS.
-    for (p, q), classes in tight.items():
+    for p, q, classes, _, _ in batch:
         frm, to = Slope(-p, q), Slope(0)
         same = list(classes[0].path) == geodesic(frm, to) == bfs_oracle(frm, to)
         yield None if same else f"L({p},{q})"
 
 
-def _rot_failures(tight):
-    for (p, q), classes in tight.items():
-        framings = build_chain(p, q).framings
+def _rot_failures(batch):
+    for p, q, classes, rots, chains in batch:
+        framings = chains[0].framings
         # The shuffle blocks, in path order, sit on the components framed
         # r_i <= -3 in reverse chain order: a block with c plus signs has
         # rot_i = size - 2c, and a -2 component has rot_i = 0.
@@ -134,9 +143,8 @@ def _rot_failures(tight):
             for i, size, plus in zip(slots, ts.blocks, ts.plus_counts):
                 rot[i] = size - 2 * plus
             vectors.append(tuple(rot))
-        for knot in KNOTS:
-            farey_side = [rot_q_farey(ts, knot) for ts in classes]
-            holds = fits and rot_q_surgery(build_chain(p, q, knot), vectors) == farey_side
+        for knot, chain, farey_side in zip(KNOTS, chains, rots):
+            holds = fits and rot_q_surgery(chain, vectors) == farey_side
             yield None if holds else f"L({p},{q}) {knot}"
 
 
@@ -176,46 +184,47 @@ def _edge_weights(path):
     return out
 
 
-def _edge_sum(p, signs, weights):
+def _edge_total(signs, weights):
+    """p times rot_Q: the signed sum of the edge weights."""
     if len(signs) != len(weights):
         raise ValueError(f"{len(signs)} signs for {len(weights)} decorated edges")
-    return Fraction(sum(w if s == "+" else -w for s, w in zip(signs, weights)), p)
+    return sum(w if s == "+" else -w for s, w in zip(signs, weights))
 
 
 def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Oracle for unknots.rot_q_farey: the signed sum over every decorated
     edge, one term per edge, without the shuffle blocks."""
     i, sign = _knot(knot)
-    return sign * _edge_sum(ts.p, ts.sign_string, _edge_weights(ts.path)[i])
+    return Fraction(sign * _edge_total(ts.sign_string, _edge_weights(ts.path)[i]), ts.p)
 
 
-def _block_failures(tight):
-    for (p, q), classes in tight.items():
+def _block_failures(batch):
+    for p, q, classes, rots, _ in batch:
         path = classes[0].path
         # the shuffle criterion, against the decoration's runs
         runs = tuple(block_partition(path)) == classes[0].blocks
         yield None if runs else f"L({p},{q}) shuffle blocks"
-        weights = dict(zip(KNOTS, _edge_weights(path)))
-        for i, ts in enumerate(classes):
+        weights = _edge_weights(path)
+        for i, (ts, class_rots) in enumerate(zip(classes, zip(*rots))):
             signs = ts.sign_string
-            for knot in KNOTS:
-                if rot_q_farey(ts, knot) != _edge_sum(p, signs, weights[knot]):
+            for knot, rot, knot_weights in zip(KNOTS, class_rots, weights):
+                # rot == total / p, in integers
+                if rot.numerator * p != _edge_total(signs, knot_weights) * rot.denominator:
                     yield f"L({p},{q}) class {i} {knot}"
                 else:
                     yield None
 
 
-def _det_failures(tight):
+def _det_failures(batch):
     # The linking matrix reads only the framings, which k1 and k2 share;
     # Bareiss checks both p and the continuant that surgery prints as det.
-    for p, q in tight:
-        chain = build_chain(p, q)
-        det = det_bareiss(linking_matrix(chain))
-        yield None if abs(det) == p and linking_det(chain) == det else f"L({p},{q})"
+    for p, q, _, _, chains in batch:
+        det = det_bareiss(linking_matrix(chains[0]))
+        yield None if abs(det) == p and linking_det(chains[0]) == det else f"L({p},{q})"
 
 
-def _mcg_failures(tight):
-    for (p, q), classes in tight.items():
+def _mcg_failures(batch):
+    for p, q, _, rots, _ in batch:
         c, s = contact_mcg(p, q), smooth_mcg(p, q)
         if s.order % c.order != 0:
             yield f"L({p},{q}) order divisibility"
@@ -233,15 +242,25 @@ def _mcg_failures(tight):
                 yield f"L({p},{q}) merged unknots with different peak tb"
             else:
                 yield None
-            for i, ts in enumerate(classes):
-                rot1, rot2 = rot_q_farey(ts, "k1"), rot_q_farey(ts, "k2")
+            for i, (rot1, rot2) in enumerate(zip(*rots)):
                 if rot1 != rot2 or (n == 1 and rot1 != 0):
                     yield f"L({p},{q}) class {i} merged unknots with different peak rot"
                 else:
                     yield None
 
 
-def _univ_failures(tight):
-    for (p, q), classes in tight.items():
+def _univ_failures(batch):
+    for p, q, classes, _, _ in batch:
         univ = sum(is_universally_tight(ts) for ts in classes)
         yield None if univ == standard_structures(p, q) else f"L({p},{q})"
+
+
+_FAMILIES = (
+    ("tight-count formula vs enumeration", _count_failures),
+    ("geodesic vs BFS oracle", _geodesic_failures),
+    ("rotation numbers: Farey vs surgery", _rot_failures),
+    ("rotation numbers: blocks vs edges", _block_failures),
+    ("linking matrix determinant = p", _det_failures),
+    ("MCG divisibility and iso criterion", _mcg_failures),
+    ("universally tight counts", _univ_failures),
+)

@@ -16,7 +16,7 @@ from . import mcg as mcg_mod
 from . import surgery
 from .bypass import TorusState, attach_bypass
 from .checks import check_sweep
-from .farey import geodesic
+from .farey import _geodesic
 from .slopes import Slope, _int
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
 from .unknots import legendrian_classification, mountain_range
@@ -49,8 +49,8 @@ def _write(head, chunks, sep, tail) -> None:
 
 
 def cmd_farey(args) -> int:
-    path = geodesic(Slope.parse(args.frm), Slope.parse(args.to))
-    print(json.dumps([str(v) for v in path]))
+    path = _geodesic(Slope.parse(args.frm), Slope.parse(args.to))
+    _write("[", (json.dumps(str(v)) for v in path), ", ", "]\n")
     return 0
 
 

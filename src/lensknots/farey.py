@@ -59,12 +59,22 @@ def farthest_neighbor(s: Slope, bound: Slope) -> Slope:
 def geodesic(start: Slope, stop: Slope) -> list[Slope]:
     """Shortest edge-path from start to stop inside the clockwise arc,
     built by iterating farthest_neighbor."""
+    return list(_geodesic(start, stop))
+
+
+def _geodesic(start: Slope, stop: Slope):
+    """The vertices of geodesic(start, stop), one at a time; the endpoints
+    are checked on the call, before the first vertex."""
     if start == stop:
         raise ValueError("geodesic needs distinct endpoints")
-    path = [start]
-    while path[-1] != stop:
-        path.append(farthest_neighbor(path[-1], stop))
-    return path
+
+    def walk(v):
+        yield v
+        while v != stop:
+            v = farthest_neighbor(v, stop)
+            yield v
+
+    return walk(start)
 
 
 def bfs_oracle(start: Slope, stop: Slope) -> list[Slope]:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -44,9 +45,63 @@ def test_sweep_enumerates_each_lens_space_once(monkeypatch):
     assert calls == list(lens_pairs(12))
 
 
+def test_sweep_runs_one_p_at_a_time(monkeypatch):
+    # No lens space of a larger p is enumerated before the first family has
+    # compared every lens space of the smaller ones.
+    calls = []
+    enumerate_tight, count_tight_lens = checks.enumerate_tight, checks.count_tight_lens
+
+    def enumerated(p, q):
+        calls.append(("enumerate", p, q))
+        return enumerate_tight(p, q)
+
+    def counted(p, q):
+        calls.append(("count", p, q))
+        return count_tight_lens(p, q)
+
+    monkeypatch.setattr(checks, "enumerate_tight", enumerated)
+    monkeypatch.setattr(checks, "count_tight_lens", counted)
+    assert check_sweep(12).passed
+    compared = set()
+    for call, p, q in calls:
+        if call == "count":
+            compared.add((p, q))
+        else:
+            assert set(lens_pairs(p - 1)) <= compared, (p, q)
+    assert compared == set(lens_pairs(12))
+
+
+def test_sweep_derives_each_rotation_and_chain_once(monkeypatch):
+    # The families share each class's Farey rot_Q for k1 and k2, and each
+    # knot's chain.
+    calls = Counter()
+
+    def count(name):
+        function = getattr(checks, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(checks, name, counted)
+
+    count("rot_q_farey")
+    count("build_chain")
+    assert check_sweep(12).passed
+    pairs = list(lens_pairs(12))
+    classes = sum(checks.count_tight_lens(p, q) for p, q in pairs)
+    assert (len(pairs), classes) == (45, 151)
+    assert calls == {"rot_q_farey": 2 * classes, "build_chain": 2 * len(pairs)}
+
+
 def test_sweep_rejects_tiny_bound():
     with pytest.raises(ValueError):
         check_sweep(1)
+
+
+def _batch(tight):
+    """The check_sweep batch of a {(p, q): classes} map."""
+    return [checks._lens_space(p, q, classes) for (p, q), classes in tight.items()]
 
 
 def _failures(p_max):
@@ -100,7 +155,7 @@ def test_det_family_checks_each_lens_space(monkeypatch):
     # their framings, so they share their linking matrix.
     monkeypatch.setattr(checks, "det_bareiss", lambda m: 0)
     assert _failures(4)["linking matrix determinant = p"] == "L(2,1)"
-    assert list(checks._det_failures({(5, 2): [], (7, 3): []})) == ["L(5,2)", "L(7,3)"]
+    assert list(checks._det_failures(_batch({(5, 2): [], (7, 3): []}))) == ["L(5,2)", "L(7,3)"]
 
 
 def test_det_family_checks_the_sign_of_the_linking_det(monkeypatch):
@@ -185,9 +240,9 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
         for ts in classes
     ]
     assert all(abs(negated_k2(ts, "k1")) == abs(negated_k2(ts, "k2")) for ts in merged)
-    assert checks._check("mcg", checks._mcg_failures(tight)).passed
+    assert checks._check("mcg", checks._mcg_failures(_batch(tight))).passed
     monkeypatch.setattr(checks, "rot_q_farey", negated_k2)
-    result = checks._check("mcg", checks._mcg_failures(tight))
+    result = checks._check("mcg", checks._mcg_failures(_batch(tight)))
     assert result.counterexample == "L(3,1) class 0 merged unknots with different peak rot"
 
 
@@ -207,7 +262,7 @@ def test_rot_family_compares_class_by_class(monkeypatch):
             negated_k2(ts, "k2") for ts in classes
         )
     monkeypatch.setattr(checks, "rot_q_farey", negated_k2)
-    result = checks._check("rot", checks._rot_failures(tight))
+    result = checks._check("rot", checks._rot_failures(_batch(tight)))
     assert (result.counterexample, result.cases) == ("L(3,1) k2", 4)
 
 
@@ -216,14 +271,14 @@ def test_rot_family_fails_blocks_that_do_not_fit_the_chain():
     # component framed -4 to carry it.
     classes = checks.enumerate_tight(7, 2)
     assert classes[0].blocks == (2,) and checks.build_chain(7, 3).framings == (-3, -2, -2)
-    assert list(checks._rot_failures({(7, 3): classes})) == ["L(7,3) k1", "L(7,3) k2"]
+    assert list(checks._rot_failures(_batch({(7, 3): classes}))) == ["L(7,3) k1", "L(7,3) k2"]
 
 
 def test_geodesic_family_compares_the_decorated_path():
     # The classes of L(7,2) carry the path from -7/2, not the one from -7/3
     # that the geodesic and the BFS agree on.
     classes = checks.enumerate_tight(7, 2)
-    assert list(checks._geodesic_failures({(7, 3): classes})) == ["L(7,3)"]
+    assert list(checks._geodesic_failures(_batch({(7, 3): classes}))) == ["L(7,3)"]
 
 
 def test_geodesic_family_compares_the_bfs_path(monkeypatch):
@@ -255,4 +310,4 @@ def test_a_family_stops_counting_at_its_first_failure():
 def test_a_family_without_cases_fails():
     result = checks._check("family", iter(()))
     assert (result.passed, result.counterexample, result.cases) == (False, "no cases", 0)
-    assert not checks._check("geodesic", checks._geodesic_failures({})).passed
+    assert not checks._check("geodesic", checks._geodesic_failures([])).passed

@@ -489,6 +489,7 @@ class _Discard:
         ["tight-structures", "1000", "1", "--list"],
         ["unknots", "1000", "1"],
         ["unknots", "1000", "1", "--format", "json"],
+        ["farey", "path", "-20000/1", "0"],
     ],
     ids=" ".join,
 )
@@ -497,7 +498,9 @@ def test_mountain_range_memory_is_bounded(argv):
     points, held or rendered, take 8-12 MiB; written row by row they need
     the 601 rot and 301 tb values and one row.  The 999 classes on
     L(1000,1) carry about a million signs, which rendered whole take
-    2.6-8.2 MiB; written class by class they need the records and one row."""
+    2.6-8.2 MiB; written class by class they need the records and one row.
+    The 20 001 vertices of the geodesic from -20000 to 0 take 4.5 MiB
+    held; written vertex by vertex they need one."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_Discard()):

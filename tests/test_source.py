@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import lensknots
-from lensknots import checks, farey, surgery, tight
+from lensknots import checks, farey, surgery, tight, unknots
 
 
 def test_library_has_no_assert():
@@ -97,9 +97,11 @@ def test_oracles_stay_independent():
     never use the continued fraction that the linking determinant is
     computed from, the decoration reads path and blocks off the continued
     fraction, never from the Farey geodesic or the shuffle criterion that
-    check them (which live in farey and checks), and the Farey vs surgery
-    check maps each class to its rotation vector from block sizes, plus
-    counts and framings alone, never from the edge vectors or the path.
+    check them (which live in farey and checks), the per-edge rot_Q oracle
+    never uses the block sums, edge vectors or rot_q_farey it checks, and
+    the Farey vs surgery check, with the batch it reads, maps each class to
+    its rotation vector from block sizes, plus counts and framings alone,
+    never from the edge vectors or the path.
     Every farey and surgery name forbidden here is bound in its module, so
     a deleted or renamed helper fails the test instead of passing it."""
     assert {"farthest_neighbor", "neighbor_family"} <= _names_reached(farey, "geodesic")
@@ -117,5 +119,12 @@ def test_oracles_stay_independent():
     assert oracles & reached == set()
     assert "geodesic" not in vars(tight)
     assert not hasattr(tight, "block_partition")
-    reached = _names_reached(checks, "_rot_failures")
+    reached = _names_reached(checks, "rot_q_edges")
+    assert {"_edge_weights", "_edge_total"} <= reached
+    assert "steps" in _names_reached(unknots, "_block_sums")
+    assert {"_block_sums", "rot_q_farey"} <= vars(unknots).keys()
+    assert {"_block_sums", "steps", "rot_q_farey"} & reached == set()
+    # _lens_space builds the batch that _rot_failures reads.
+    reached = _names_reached(checks, "_rot_failures") | _names_reached(checks, "_lens_space")
+    assert {"rot_q_farey", "build_chain", "chains"} <= reached
     assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()

@@ -153,7 +153,8 @@ class TestFareyIsSurgery:
         # rotation vector its blocks give, and both sides give it the same
         # rot_Q: one comparison per knot covers every class of L(p,q).
         tight = {(p, q): enumerate_tight(p, q) for p, q in lens_pairs(40)}
-        assert list(checks._rot_failures(tight)) == [None] * (2 * len(tight))
+        batch = [checks._lens_space(p, q, classes) for (p, q), classes in tight.items()]
+        assert list(checks._rot_failures(batch)) == [None] * (2 * len(tight))
         assert 2 * sum(map(len, tight.values())) == 7516
 
 
