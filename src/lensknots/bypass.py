@@ -9,15 +9,12 @@ from .slopes import Slope, _Record, _set
 
 
 class TorusState(_Record):
-    """A convex torus carrying num_dividing dividing curves of one slope."""
+    """A convex torus carrying two dividing curves of one slope."""
 
-    __slots__ = ("dividing_slope", "num_dividing")
+    __slots__ = ("dividing_slope",)
 
-    def __init__(self, dividing_slope: Slope, num_dividing: int = 2):
-        if num_dividing < 2 or num_dividing % 2:
-            raise ValueError("number of dividing curves must be even and >= 2")
+    def __init__(self, dividing_slope: Slope):
         _set(self, "dividing_slope", dividing_slope)
-        _set(self, "num_dividing", num_dividing)
 
 
 def attach_bypass(state: TorusState, ruling: Slope, side: str = "front") -> TorusState:
@@ -25,11 +22,8 @@ def attach_bypass(state: TorusState, ruling: Slope, side: str = "front") -> Toru
 
     From the front the dividing slope jumps to the farthest neighbor
     clockwise of it and counterclockwise of the ruling slope; from the back
-    the mirror computation applies.  Only the two-dividing-curve case has a
-    slope formula, so anything else is rejected.
+    the mirror computation applies.
     """
-    if state.num_dividing != 2:
-        raise ValueError("bypass slope calculus needs exactly two dividing curves")
     if ruling == state.dividing_slope:
         raise ValueError("ruling slope must differ from the dividing slope")
     if side == "front":
@@ -39,7 +33,7 @@ def attach_bypass(state: TorusState, ruling: Slope, side: str = "front") -> Toru
         new = -farthest_neighbor(-state.dividing_slope, -ruling)
     else:
         raise ValueError(f"side must be 'front' or 'back', got {side!r}")
-    return TorusState(new, 2)
+    return TorusState(new)
 
 
 def tb_from_dividing(intersections: int) -> Fraction:

@@ -28,23 +28,20 @@ from .unknots import rot_q_farey, tb_q_peak
 
 class CheckResult(_Record):
     """One check family's outcome: `cases` comparisons were made, up to and
-    including the first failure if there is one, in `seconds` of wall time."""
+    including the first failure if there is one, in `seconds` of wall time.
+    The family passed when it has no counterexample."""
 
-    __slots__ = ("name", "passed", "counterexample", "cases", "seconds")
+    __slots__ = ("name", "counterexample", "cases", "seconds")
 
-    def __init__(
-        self,
-        name: str,
-        passed: bool,
-        counterexample: str | None = None,
-        cases: int = 0,
-        seconds: float = 0.0,
-    ):
+    def __init__(self, name: str, counterexample: str | None = None, cases: int = 0, seconds: float = 0.0):
         _set(self, "name", name)
-        _set(self, "passed", passed)
         _set(self, "counterexample", counterexample)
         _set(self, "cases", cases)
         _set(self, "seconds", seconds)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 class SweepReport(_Record):
@@ -80,7 +77,7 @@ def _check(name, outcomes, cases=0, seconds=0.0):
             break
     if not cases:
         failure = "no cases"
-    return CheckResult(name, failure is None, failure, cases, seconds + time.perf_counter() - t0)
+    return CheckResult(name, failure, cases, seconds + time.perf_counter() - t0)
 
 
 def _lens_space(p, q, classes):
@@ -100,7 +97,7 @@ def check_sweep(p_max: int) -> SweepReport:
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     t0 = time.perf_counter()
-    results = [CheckResult(name, True) for name, _ in _FAMILIES]
+    results = [CheckResult(name) for name, _ in _FAMILIES]
     for _, pairs in itertools.groupby(lens_pairs(p_max), key=lambda pq: pq[0]):
         batch = [_lens_space(p, q, enumerate_tight(p, q)) for p, q in pairs]
         # A failed family stops; one without a comparison yet runs on.

@@ -35,17 +35,23 @@ def _group_str(g) -> str:
     return f"{g.tag} [{' '.join(g.generators)}]"
 
 
+_BATCH = 1 << 16  # characters joined per write: a write costs more than a few-byte chunk
+
+
 def _write(head, chunks, sep, tail) -> None:
-    """Write head, the chunks joined by sep and tail, one write per chunk.
-    A JSON document's last list streams after json.dumps of the document
-    with that list empty, cut before its "]}".  Callers run all that can
-    fail first, so a failing call writes nothing."""
-    sys.stdout.write(head)
-    lead = ""
+    """Write head, the chunks joined by sep and tail, one write per batch
+    of about _BATCH characters.  A JSON document's last list streams after
+    json.dumps of the document with that list empty, cut before its "]}".
+    Callers run all that can fail first, so a failing call writes nothing."""
+    batch, size, lead = [head], len(head), ""
     for chunk in chunks:
-        sys.stdout.write(lead + chunk)
+        batch.append(lead + chunk)
+        size += len(batch[-1])
         lead = sep
-    sys.stdout.write(tail)
+        if size >= _BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch) + tail)
 
 
 def cmd_farey(args) -> int:

@@ -132,11 +132,6 @@ class Slope(_Record):
             raise ValueError(f"not a slope: {text!r}") from None
         return cls(*terms)
 
-    @classmethod
-    def from_fraction(cls, value) -> "Slope":
-        f = Fraction(value)
-        return cls(f.numerator, f.denominator)
-
 
 INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
@@ -191,7 +186,7 @@ def eval_neg_cf(coeffs: list[int]) -> Slope:
         if not acc:
             raise ValueError(f"{coeffs} divides by zero: a tail evaluates to 0")
         acc = r - Fraction(1) / acc
-    return Slope.from_fraction(acc)
+    return Slope(acc.numerator, acc.denominator)
 
 
 def cf_matrix_identity(coeffs: list[int]) -> tuple[int, int, int, int]:

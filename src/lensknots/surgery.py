@@ -112,10 +112,17 @@ def det_bareiss(matrix) -> int:
     division by the recorded one give the eager values.  A zero pivot is
     swapped, recorded pivot and all, with the first row below that is
     nonzero in its column."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    return _eliminate(_rows(matrix))
+
+
+def _rows(matrix) -> list[dict[int, int]]:
+    """The rows of a square int matrix as maps from column to nonzero entry;
+    the elimination's floor divisions are exact only on ints."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
-    return _eliminate([{j: v for j, v in enumerate(row) if v} for row in matrix])
+    if not all(isinstance(v, int) for row in matrix for v in row):
+        raise ValueError("matrix entries must be integers")
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
 def _eliminate(rows: list[dict[int, int]]) -> int:
@@ -167,27 +174,27 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
     """Exact solution of an integer linear system by Cramer's rule on
     Bareiss determinants.
 
-    det_bareiss gives the denominator.  The matrix's sparse rows, maps from
-    column to nonzero entry, are built once; the matrix of the numerator of
-    x[col] is a copy of them with column col set to the nonzero entries of
-    rhs, and goes to det_bareiss's elimination as it is, with no dense copy
-    in between."""
+    The matrix's sparse rows, maps from column to nonzero entry, are read
+    once.  The denominator is the elimination of a copy of them, and the
+    matrix of the numerator of x[col] is a copy of them with column col set
+    to the nonzero entries of rhs, which goes to the elimination as it is,
+    with no dense copy in between."""
     n = len(matrix)
     if len(rhs) != n:
         raise ValueError(f"right-hand side must have {n} entries, got {len(rhs)}")
-    d = det_bareiss(matrix)
+    if not all(isinstance(b, int) for b in rhs):
+        raise ValueError("right-hand side entries must be integers")
+    rows = _rows(matrix)
+    d = _eliminate([row.copy() for row in rows])
     if d == 0:
         raise ValueError("singular linking matrix")
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
     out = []
     for col in range(n):
-        replaced = []
-        for row, b in zip(rows, rhs):
-            row = row.copy()
+        replaced = [row.copy() for row in rows]
+        for row, b in zip(replaced, rhs):
             row.pop(col, None)
             if b:
                 row[col] = b
-            replaced.append(row)
         out.append(Fraction(_eliminate(replaced), d))
     return out
 

@@ -311,3 +311,9 @@ def test_a_family_without_cases_fails():
     result = checks._check("family", iter(()))
     assert (result.passed, result.counterexample, result.cases) == (False, "no cases", 0)
     assert not checks._check("geodesic", checks._geodesic_failures([])).passed
+
+
+@pytest.mark.parametrize("counterexample", [None, "L(3,1)", "no cases"])
+def test_passed_follows_the_counterexample(counterexample):
+    result = checks.CheckResult("family", counterexample, cases=3)
+    assert result.passed is (counterexample is None)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lensknots import cli
 from lensknots.checks import lens_pairs
 from lensknots.cli import _OPTION, GRAMMAR, _arguments, _parse, _Usage, build_parser, main
 from lensknots.slopes import Slope, _int
@@ -511,6 +512,28 @@ def test_mountain_range_memory_is_bounded(argv):
     assert peak < 2 * 2**20
 
 
+class _Lengths(_Discard):
+    """A text sink that keeps the length of each write."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return len(text)
+
+
+def test_list_output_is_written_in_bounded_batches():
+    """The 20 001 vertices of farey path, a few bytes each, go out in a
+    handful of writes of about cli._BATCH characters, not one per vertex."""
+    sink = _Lengths()
+    with contextlib.redirect_stdout(sink):
+        assert main(["farey", "path", "-20000/1", "0"]) == 0
+    assert sum(sink.lengths) == len(json.dumps([str(-n) for n in range(20000, -1, -1)])) + 1
+    assert len(sink.lengths) <= sum(sink.lengths) // cli._BATCH + 1
+    assert max(sink.lengths) < cli._BATCH + 100
+
+
 def test_mountain_range_ambiguity_is_bounded(capsys):
     """Without --structure, mountain-range needs the one structure of
     q = p - 1 and decides that from the closed-form count: the 2^16
@@ -660,6 +683,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         ["mountain-range", "3", "1", "--structure", "+", "--depth", "3000"],
         ["tight-structures", "400", "1", "--list"],
         ["unknots", "400", "1", "--format", "json"],
+        ["farey", "path", "-30000/1", "0"],
     ],
     ids=" ".join,
 )

@@ -38,11 +38,11 @@ def _peak(p, q, plus_counts):
 # record of the same class with other field values.
 RECORDS = {
     Slope: (lambda: Slope(-24, 10), Slope(-12, 7)),
-    TorusState: (lambda: TorusState(Slope(1, 2)), TorusState(Slope(1, 2), 4)),
-    CheckResult: (lambda: CheckResult("count", True), CheckResult("count", False, "L(3,1)")),
+    TorusState: (lambda: TorusState(Slope(1, 2)), TorusState(Slope(1, 3))),
+    CheckResult: (lambda: CheckResult("count"), CheckResult("count", "L(3,1)")),
     SweepReport: (
-        lambda: SweepReport(3, (CheckResult("count", True),), 0.5),
-        SweepReport(3, (CheckResult("count", True),), 0.25),
+        lambda: SweepReport(3, (CheckResult("count"),), 0.5),
+        SweepReport(3, (CheckResult("count"),), 0.25),
     ),
     GroupDescription: (
         lambda: GroupDescription("Z2", ("sigma",)),
@@ -127,11 +127,11 @@ def test_copy_and_pickle_keep_the_value(cls):
 
 def test_reprs():
     assert repr(Slope(-12, 5)) == "Slope(-12/5)"
-    assert repr(CheckResult("count", True)) == (
-        "CheckResult(name='count', passed=True, counterexample=None, cases=0, seconds=0.0)"
+    assert repr(CheckResult("count")) == (
+        "CheckResult(name='count', counterexample=None, cases=0, seconds=0.0)"
     )
     assert repr(SurgeryChain((-3, -2))) == "SurgeryChain(framings=(-3, -2), meridian_of='first')"
-    assert repr(TorusState(Slope(1, 2))) == "TorusState(dividing_slope=Slope(1/2), num_dividing=2)"
+    assert repr(TorusState(Slope(1, 2))) == "TorusState(dividing_slope=Slope(1/2))"
     assert repr(_peak(3, 1, (1,))) == (
         "LegendrianClass(knot='k1', tb_q=Fraction(-2, 3), rot_q=Fraction(-1, 3), "
         "structure=ShuffleClass(decoration=Decoration(p=3, q=1, "

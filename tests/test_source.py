@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import lensknots
-from lensknots import checks, farey, surgery, tight, unknots
+from lensknots import checks, farey, slopes, surgery, tight, unknots
 
 
 def test_library_has_no_assert():
@@ -41,6 +41,32 @@ def test_library_does_not_import_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def test_slope_has_one_classmethod_constructor():
+    """A slope is built as Slope(num, den) or read by Slope.parse, which
+    takes only what str() prints; no third constructor accepts more."""
+    tree = ast.parse(Path(slopes.__file__).read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Slope"]
+    classmethods = [
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+    ]
+    assert classmethods == ["parse"]
+
+
+def test_library_calls_float_only_for_the_svg():
+    """Every value is exact; the SVG's pixel coordinates in
+    cli.cmd_mountain are the one rounded output."""
+    hits = []
+    for path in sorted(Path(lensknots.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                    hits.append((path.stem, getattr(top, "name", None)))
+    assert set(hits) == {("cli", "cmd_mountain")}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -286,6 +286,23 @@ def test_solve_exact_rejects_a_ragged_matrix(m):
         solve_exact(m, [1] * len(m))
 
 
+@pytest.mark.parametrize(
+    "solve, args",
+    [
+        (det_bareiss, ([[Fraction(5, 2), 1], [1, 1]],)),
+        (det_bareiss, ([[2.5, 1], [1, 1]],)),
+        (solve_exact, ([[Fraction(5, 2), 1], [1, 1]], [1, 0])),
+        (solve_exact, ([[2, 1], [1, 2]], [Fraction(1, 2), 0])),
+    ],
+    ids=["det-fraction", "det-float", "solve-fraction-matrix", "solve-fraction-rhs"],
+)
+def test_exact_algebra_rejects_non_integer_entries(solve, args):
+    # The elimination's floor divisions are exact only on integers: these
+    # once returned 1, 1.0, [1, -1] and [1/3, -1/3].
+    with pytest.raises(ValueError, match="must be integers"):
+        solve(*args)
+
+
 class TestRotation:
     def test_single_component(self):
         # L(3,1): chain (-3), meridian rot = -rot1 * (1 / -3)
