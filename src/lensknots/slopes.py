@@ -181,12 +181,15 @@ def eval_neg_cf(coeffs: list[int]) -> Slope:
     """Evaluate [r_0, ..., r_n] back to the slope it expands."""
     if not coeffs:
         raise ValueError("empty coefficient list")
-    acc = Fraction(coeffs[-1])
+    if not all(isinstance(r, int) for r in coeffs):
+        raise ValueError("coefficients must be integers")
+    # The tail [r_k, ..., r_n] is num/den; r - 1/(num/den) = (r*num - den)/num.
+    num, den = coeffs[-1], 1
     for r in reversed(coeffs[:-1]):
-        if not acc:
+        if not num:
             raise ValueError(f"{coeffs} divides by zero: a tail evaluates to 0")
-        acc = r - Fraction(1) / acc
-    return Slope(acc.numerator, acc.denominator)
+        num, den = r * num - den, num
+    return Slope(num, den)
 
 
 def cf_matrix_identity(coeffs: list[int]) -> tuple[int, int, int, int]:

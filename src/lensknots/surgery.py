@@ -10,7 +10,6 @@ integer elimination; no floats.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .slopes import Slope, _Record, _set, cf_matrix_identity, neg_cf, require_lens_pair
@@ -95,7 +94,7 @@ def rot_choices(chain: SurgeryChain) -> list[tuple[int, ...]]:
     """All admissible rotation vectors of the chain components: the
     Cartesian product of their rotation numbers, one tuple per
     stabilization pattern."""
-    return [tuple(v) for v in itertools.product(*map(_rots, chain.framings))]
+    return list(itertools.product(*map(_rots, chain.framings)))
 
 
 def det_bareiss(matrix) -> int:
@@ -171,49 +170,50 @@ def _eliminate(rows: list[dict[int, int]]) -> int:
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
-    """Exact solution of an integer linear system by Cramer's rule on
-    Bareiss determinants.
-
-    The matrix's sparse rows, maps from column to nonzero entry, are read
-    once.  The denominator is the elimination of a copy of them, and the
-    matrix of the numerator of x[col] is a copy of them with column col set
-    to the nonzero entries of rhs, which goes to the elimination as it is,
-    with no dense copy in between."""
+    """Exact solution of an integer linear system by Cramer's rule (_cramer)."""
     n = len(matrix)
     if len(rhs) != n:
         raise ValueError(f"right-hand side must have {n} entries, got {len(rhs)}")
     if not all(isinstance(b, int) for b in rhs):
         raise ValueError("right-hand side entries must be integers")
-    rows = _rows(matrix)
+    nums, d = _cramer(_rows(matrix), rhs)
+    return [Fraction(v, d) for v in nums]
+
+
+def _cramer(rows: list[dict[int, int]], rhs) -> tuple[list[int], int]:
+    """Cramer's rule on sparse rows, over one denominator: (nums, d), with
+    d = det M unreduced and signed, and nums[col] = d * x[col], the
+    determinant of the rows with column col set to the nonzero entries of
+    rhs.  Each elimination gets its own copy of the rows, none of them dense."""
     d = _eliminate([row.copy() for row in rows])
     if d == 0:
-        raise ValueError("singular linking matrix")
-    out = []
-    for col in range(n):
+        raise ValueError("singular matrix")
+    nums = []
+    for col in range(len(rows)):
         replaced = [row.copy() for row in rows]
         for row, b in zip(replaced, rhs):
             row.pop(col, None)
             if b:
                 row[col] = b
-        out.append(Fraction(_eliminate(replaced), d))
-    return out
+        nums.append(_eliminate(replaced))
+    return nums, d
 
 
 def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
     rots (each one that rot_choices lists, checked before the solve); M^-1 . lk
-    is solved once and put over one denominator, so each vector's sum is over
-    integers."""
+    is solved once, as integers over det M, so each vector's sum is over
+    integers and becomes one Fraction."""
     allowed, rots = [_rots(r) for r in chain.framings], list(rots)
     for rot in rots:
         if len(rot) != len(allowed):
             raise ValueError("wrong number of rotation numbers")
+        if not all(isinstance(v, int) for v in rot):
+            raise ValueError("rotation numbers must be integers")
         if any(v not in a for v, a in zip(rot, allowed)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
-    x = solve_exact(linking_matrix(chain), meridian_lk(chain))
-    den = math.lcm(*(xi.denominator for xi in x))
-    nums = [xi.numerator * (den // xi.denominator) for xi in x]
-    return [Fraction(-sum(v * num for v, num in zip(rot, nums)), den) for rot in rots]
+    nums, d = _cramer(_rows(linking_matrix(chain)), meridian_lk(chain))
+    return [Fraction(-sum(v * num for v, num in zip(rot, nums)), d) for rot in rots]
 
 
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:

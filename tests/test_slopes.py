@@ -135,6 +135,12 @@ class TestNegCF:
         with pytest.raises(ValueError, match="divides by zero"):
             eval_neg_cf([-2, 0])
 
+    @pytest.mark.parametrize("coeffs", [[0.1], [1.5], ["-3"]], ids=["float", "half", "str"])
+    def test_eval_rejects_non_integer_coefficients(self, coeffs):
+        # Fraction once took each of these, and a slope came back.
+        with pytest.raises(ValueError, match="^coefficients must be integers$"):
+            eval_neg_cf(coeffs)
+
     @pytest.mark.parametrize(
         "x,message",
         [

@@ -154,3 +154,15 @@ def test_oracles_stay_independent():
     reached = _names_reached(checks, "_rot_failures") | _names_reached(checks, "_lens_space")
     assert {"rot_q_farey", "build_chain", "chains"} <= reached
     assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()
+
+
+def test_rationals_are_built_only_at_the_return():
+    """rot_q_surgery reads M^-1 . lk as integers over det M from _cramer, not
+    as solve_exact's reduced fractions put back over their lcm, and
+    eval_neg_cf runs the continuant recurrence on ints, with no Fraction."""
+    assert {"_cramer", "solve_exact"} <= vars(surgery).keys()
+    reached = _names_reached(surgery, "rot_q_surgery")
+    assert "_cramer" in reached
+    assert {"solve_exact", "lcm"} & reached == set()
+    assert "Fraction" in vars(slopes)
+    assert "Fraction" not in _names_reached(slopes, "eval_neg_cf")

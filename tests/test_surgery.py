@@ -247,7 +247,8 @@ def test_solve_exact():
     m = [[-3, 1], [1, -2]]
     x = solve_exact(m, [1, 0])
     assert x == [Fraction(-2, 5), Fraction(-1, 5)]
-    with pytest.raises(ValueError):
+    # The generic solver names its own input, not the linking matrix.
+    with pytest.raises(ValueError, match="^singular matrix$"):
         solve_exact([[1, 1], [1, 1]], [1, 0])
 
 
@@ -265,6 +266,15 @@ def test_solve_exact_solves_every_chain():
             x = solve_exact(m, lk)
             mx = [sum(a * xi for a, xi in zip(row, x)) for row in m]
             assert mx == list(lk), f"L({p},{q}) {knot}"
+
+
+def test_cramer_denominator_is_the_linking_determinant():
+    # rot_Q is summed over d unreduced, so d keeps det M's size and sign.
+    for p, q in lens_pairs(60):
+        for knot in KNOTS:
+            chain = build_chain(p, q, knot)
+            _, d = surgery._cramer(surgery._rows(linking_matrix(chain)), meridian_lk(chain))
+            assert d == linking_det(chain), f"L({p},{q}) {knot}"
 
 
 def test_solve_exact_reads_list_and_tuple_rows_alike():
@@ -293,12 +303,23 @@ def test_solve_exact_rejects_a_ragged_matrix(m):
         (det_bareiss, ([[2.5, 1], [1, 1]],)),
         (solve_exact, ([[Fraction(5, 2), 1], [1, 1]], [1, 0])),
         (solve_exact, ([[2, 1], [1, 2]], [Fraction(1, 2), 0])),
+        (rot_q_surgery, (SurgeryChain((-3,)), [(1.0,)])),
+        (rot_q_surgery, (SurgeryChain((-3,)), [(Fraction(1),)])),
     ],
-    ids=["det-fraction", "det-float", "solve-fraction-matrix", "solve-fraction-rhs"],
+    ids=[
+        "det-fraction",
+        "det-float",
+        "solve-fraction-matrix",
+        "solve-fraction-rhs",
+        "rot-float",
+        "rot-fraction",
+    ],
 )
 def test_exact_algebra_rejects_non_integer_entries(solve, args):
     # The elimination's floor divisions are exact only on integers: these
-    # once returned 1, 1.0, [1, -1] and [1/3, -1/3].
+    # once returned 1, 1.0, [1, -1] and [1/3, -1/3].  A rotation number of
+    # 1.0 or Fraction(1) passes the range membership test; the float once
+    # raised TypeError from Fraction.
     with pytest.raises(ValueError, match="must be integers"):
         solve(*args)
 
@@ -328,15 +349,17 @@ class TestRotation:
     def test_checks_every_vector_before_the_solve(self, monkeypatch):
         # The solve is cubic in the chain length, so a bad vector is reported
         # without it; rots may be an iterator, read once.
-        def no_solve(matrix, rhs):
-            raise RuntimeError("solve_exact ran before the vectors were checked")
+        def no_solve(rows, rhs):
+            raise RuntimeError("_cramer ran before the vectors were checked")
 
-        monkeypatch.setattr(surgery, "solve_exact", no_solve)
+        monkeypatch.setattr(surgery, "_cramer", no_solve)
         chain = SurgeryChain((-3, -2))
         with pytest.raises(ValueError, match="wrong number of rotation numbers"):
             rot_q_surgery(chain, iter([(1, 0), (1,)]))
         with pytest.raises(ValueError, match=r"rotation numbers need \|rot_i\|"):
             rot_q_surgery(chain, iter([(1, 0), (3, 0)]))
+        with pytest.raises(ValueError, match="rotation numbers must be integers"):
+            rot_q_surgery(chain, iter([(1, 0), (1.0, 0)]))
         monkeypatch.undo()
         rots = [(1, 0), (-1, 0)]
         assert rot_q_surgery(chain, iter(rots)) == rot_q_surgery(chain, rots)
@@ -354,12 +377,13 @@ class TestRotation:
 
     def test_one_solve_per_spectrum(self, monkeypatch):
         calls = []
+        cramer = surgery._cramer
 
-        def counting_solve(matrix, rhs):
+        def counting_solve(rows, rhs):
             calls.append(len(rhs))
-            return solve_exact(matrix, rhs)
+            return cramer(rows, rhs)
 
-        monkeypatch.setattr(surgery, "solve_exact", counting_solve)
+        monkeypatch.setattr(surgery, "_cramer", counting_solve)
         for p, q in lens_pairs(12):
             for knot in ("k1", "k2"):
                 calls.clear()
