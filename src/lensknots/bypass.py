@@ -39,6 +39,8 @@ def attach_bypass(state: TorusState, ruling: Slope, side: str = "front") -> Toru
 def tb_from_dividing(intersections: int) -> Fraction:
     """Thurston-Bennequin number of a convex-surface boundary meeting the
     dividing set in the given (even, positive) number of points."""
+    if not isinstance(intersections, int):
+        raise ValueError("intersection count must be an integer")
     if intersections < 2 or intersections % 2:
         raise ValueError("intersection count must be even and >= 2")
     return Fraction(-intersections, 2)

