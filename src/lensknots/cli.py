@@ -7,6 +7,7 @@ to the identical values; SVG pixel coordinates are the one rounded output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -79,30 +80,23 @@ def cmd_tight(args) -> int:
 
 def cmd_surgery(args) -> int:
     chain = surgery.build_chain(args.p, args.q, args.knot)
-    out = {
-        "framings": chain.framings,
-        "meridian_of": chain.meridian_of,
-        "matrix": surgery.linking_matrix(chain),
-        "det": surgery.linking_det(chain),
-    }
-    if args.rots is not None:
+    if args.rots is None:
+        key, value = "spectrum", [str(v) for v in surgery._spectrum(chain)]
+    else:
         try:
             rot = tuple(_int(v) for v in args.rots.split(",")) if args.rots else ()
         except ValueError:
             raise ValueError(f"--rots takes comma-separated integers, got {args.rots!r}") from None
-        out["rot_q"] = str(surgery.rot_q_surgery(chain, [rot])[0])
-    else:
-        out["spectrum"] = [str(v) for v in surgery.rot_spectrum(args.p, args.q, args.knot)]
+        key, value = "rot_q", str(surgery.rot_q_surgery(chain, [rot])[0])
+    # rot_Q comes first, so a bad --rots fails before the dense matrix exists.
+    matrix, det = surgery.linking_matrix(chain), surgery.linking_det(chain)
     if args.format == "json":
-        print(json.dumps(out))
+        doc = {"framings": chain.framings, "meridian_of": chain.meridian_of, "matrix": matrix, "det": det}
+        print(json.dumps({**doc, key: value}))
     else:
-        for row in out["matrix"]:
-            print("\t".join(str(v) for v in row))
-        print(f"det\t{out['det']}")
-        if "rot_q" in out:
-            print(f"rot_q\t{out['rot_q']}")
-        else:
-            print("spectrum\t" + "\t".join(out["spectrum"]))
+        rows = ("\t".join(str(v) for v in row) + "\n" for row in matrix)
+        cells = ("\t" + v for v in (value if args.rots is None else [value]))
+        _write("", itertools.chain(rows, [f"det\t{det}\n{key}"], cells), "", "\n")
     return 0
 
 

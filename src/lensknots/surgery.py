@@ -102,18 +102,8 @@ def rot_choices(chain: SurgeryChain) -> list[tuple[int, ...]]:
 
 def det_bareiss(matrix) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination; every intermediate value is an exact integer.
-
-    Each row is kept as a map from column to nonzero entry, and a step
-    reads only the rows with an entry in the pivot column.  Bareiss's step
-    k would also scale every other row below the pivot by pivot/previous
-    pivot; here such a row is left alone and records the previous pivot
-    its entries are current to.  The per-step factors telescope, so when
-    the row is next read, as the pivot row or for its entry in the pivot
-    column, one multiplication by the current previous pivot and one exact
-    division by the recorded one give the eager values.  A zero pivot is
-    swapped, recorded pivot and all, with the first row below that is
-    nonzero in its column."""
+    elimination (_eliminate), on the rows that _rows reads; every
+    intermediate value is an exact integer."""
     return _eliminate(_rows(matrix))
 
 
@@ -128,9 +118,18 @@ def _rows(matrix) -> list[dict[int, int]]:
 
 
 def _eliminate(rows: list[dict[int, int]]) -> int:
-    """det_bareiss's elimination, on rows already held as maps from column
-    to entry; it consumes them.  current[i] is the previous pivot that the
-    entries of rows[i] are current to."""
+    """Fraction-free (Bareiss) elimination of rows held as maps from column
+    to nonzero entry, returning the determinant; it consumes the rows.
+
+    A step reads only the rows with an entry in the pivot column.
+    Bareiss's step k would also scale every other row below the pivot by
+    pivot/previous pivot; here such a row is left alone and records the
+    previous pivot its entries are current to, current[i] for rows[i].
+    The per-step factors telescope, so when the row is next read, as the
+    pivot row or for its entry in the pivot column, one multiplication by
+    the current previous pivot and one exact division by the recorded one
+    give the eager values.  A zero pivot is swapped, recorded pivot and
+    all, with the first row below that is nonzero in its column."""
     n = len(rows)
     current = [1] * n
     sign = 1
@@ -219,8 +218,13 @@ def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     return [Fraction(-sum(v * num for v, num in zip(rot, nums)), d) for rot in rots]
 
 
+def _spectrum(chain: SurgeryChain) -> list[Fraction]:
+    """Sorted rational rotation numbers of a built chain over all its
+    rotation vectors; the vector list lives only for this call."""
+    return sorted(rot_q_surgery(chain, rot_choices(chain)))
+
+
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:
     """Sorted multiset of rational rotation numbers of the given rational
     unknot over all stabilization choices of the chain."""
-    chain = build_chain(p, q, knot)
-    return sorted(rot_q_surgery(chain, rot_choices(chain)))
+    return _spectrum(build_chain(p, q, knot))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lensknots import cli
+from lensknots import cli, surgery
 from lensknots.checks import lens_pairs
 from lensknots.cli import _OPTION, GRAMMAR, _arguments, _parse, _Usage, build_parser, main
 from lensknots.slopes import Slope, _int
@@ -721,10 +721,38 @@ def test_a_call_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("lensknots.surgery.rot_spectrum", exhausted)
+    # rot_choices is where surgery 12586269025 4807526976 runs out for real.
+    monkeypatch.setattr("lensknots.surgery.rot_choices", exhausted)
     code = main(["surgery", "5", "2"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", "error: surgery ran out of memory\n")
+
+
+def test_surgery_builds_one_chain_and_checks_rots_before_the_matrix(capsys, monkeypatch):
+    """A surgery call builds its chain once, reads the spectrum or rot_q off
+    that chain, and rejects a bad --rots before the dense matrix exists."""
+    calls = []
+    for name in ("build_chain", "neg_cf"):
+        wrapped = getattr(surgery, name)
+
+        def counted(*args, name=name, wrapped=wrapped):
+            calls.append(name)
+            return wrapped(*args)
+
+        monkeypatch.setattr(surgery, name, counted)
+    for argv in (["12", "5"], ["12", "5", "--format", "json"], ["12", "5", "--rots", "-1,0,1"]):
+        calls.clear()
+        assert run(capsys, "surgery", *argv)[0] == 0
+        assert sorted(calls) == ["build_chain", "neg_cf"], argv
+
+    def unbuilt(chain):
+        raise AssertionError("linking_matrix built before --rots was checked")
+
+    monkeypatch.setattr(surgery, "linking_matrix", unbuilt)
+    code = main(["surgery", "5", "2", "--rots", "9,0"])
+    captured = capsys.readouterr()
+    message = "error: rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)\n"
+    assert (code, captured.out, captured.err) == (2, "", message)
 
 
 def run_captured(argv):

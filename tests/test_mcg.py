@@ -1,8 +1,7 @@
-import math
-
 import pytest
 
 from lensknots import mcg, slopes, tight
+from lensknots.checks import lens_pairs
 from lensknots.mcg import (
     GroupDescription,
     contact_mcg,
@@ -15,13 +14,6 @@ from lensknots.mcg import (
     smooth_mcg,
     unknot_classes,
 )
-
-
-def lens_pairs(p_max):
-    for p in range(2, p_max + 1):
-        for q in range(1, p):
-            if math.gcd(p, q) == 1:
-                yield p, q
 
 
 def test_group_description_validation():

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import lensknots
-from lensknots import checks, farey, slopes, surgery, tight, unknots
+from lensknots import checks, cli, farey, slopes, surgery, tight, unknots
 
 
 def test_library_has_no_assert():
@@ -179,3 +179,15 @@ def test_rationals_are_built_only_at_the_return():
     assert {"solve_exact", "lcm"} & reached == set()
     assert "Fraction" in vars(slopes)
     assert "Fraction" not in _names_reached(slopes, "eval_neg_cf")
+
+
+def test_surgery_reads_its_spectrum_off_one_chain():
+    """rot_spectrum and the CLI read the spectrum off a built chain through
+    one private _spectrum, and cmd_surgery builds that chain itself instead
+    of calling rot_spectrum, which would build it again."""
+    assert "_spectrum" in _names_reached(surgery, "rot_spectrum")
+    assert {"rot_q_surgery", "rot_choices"} <= _names_reached(surgery, "_spectrum")
+    reached = _names_reached(cli, "cmd_surgery")
+    assert {"_spectrum", "build_chain"} <= reached
+    assert "rot_spectrum" in vars(surgery)
+    assert "rot_spectrum" not in reached

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lensknots.checks import block_partition
+from lensknots.checks import block_partition, lens_pairs
 from lensknots.farey import geodesic
 from lensknots.slopes import ZERO, Slope
 from lensknots.tight import (
@@ -20,13 +20,6 @@ from lensknots.tight import (
     standard_structures,
 )
 from lensknots.unknots import rot_q_farey
-
-
-def lens_pairs(p_max):
-    for p in range(2, p_max + 1):
-        for q in range(1, p):
-            if math.gcd(p, q) == 1:
-                yield p, q
 
 
 class TestCounts:

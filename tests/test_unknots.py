@@ -1,11 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from lensknots import checks, mcg
 from lensknots.bypass import tb_from_dividing
-from lensknots.checks import block_partition, rot_q_edges
+from lensknots.checks import block_partition, lens_pairs, rot_q_edges
 from lensknots.mcg import unknot_classes
 from lensknots.slopes import dual_fraction
 from lensknots.surgery import (
@@ -31,13 +30,6 @@ from lensknots.unknots import (
     tb_q_peak,
     transverse_classification,
 )
-
-
-def lens_pairs(p_max):
-    for p in range(2, p_max + 1):
-        for q in range(1, p):
-            if math.gcd(p, q) == 1:
-                yield p, q
 
 
 class TestPeakTb:
