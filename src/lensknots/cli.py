@@ -81,22 +81,24 @@ def cmd_tight(args) -> int:
 def cmd_surgery(args) -> int:
     chain = surgery.build_chain(args.p, args.q, args.knot)
     if args.rots is None:
-        key, value = "spectrum", [str(v) for v in surgery._spectrum(chain)]
+        key, values = "spectrum", surgery._spectrum(chain)
     else:
         try:
             rot = tuple(_int(v) for v in args.rots.split(",")) if args.rots else ()
         except ValueError:
             raise ValueError(f"--rots takes comma-separated integers, got {args.rots!r}") from None
-        key, value = "rot_q", str(surgery.rot_q_surgery(chain, [rot])[0])
+        key, values = "rot_q", surgery.rot_q_surgery(chain, [rot])
     # rot_Q comes first, so a bad --rots fails before the dense matrix exists.
     matrix, det = surgery.linking_matrix(chain), surgery.linking_det(chain)
-    if args.format == "json":
-        doc = {"framings": chain.framings, "meridian_of": chain.meridian_of, "matrix": matrix, "det": det}
-        print(json.dumps({**doc, key: value}))
-    else:
+    doc = {"framings": chain.framings, "meridian_of": chain.meridian_of, "matrix": matrix, "det": det}
+    if args.format == "tsv":
         rows = ("\t".join(str(v) for v in row) + "\n" for row in matrix)
-        cells = ("\t" + v for v in (value if args.rots is None else [value]))
+        cells = ("\t" + str(v) for v in values)
         _write("", itertools.chain(rows, [f"det\t{det}\n{key}"], cells), "", "\n")
+    elif args.rots is None:
+        _write(json.dumps({**doc, key: []})[:-2], (json.dumps(str(v)) for v in values), ", ", "]}\n")
+    else:
+        print(json.dumps({**doc, key: str(values[0])}))
     return 0
 
 

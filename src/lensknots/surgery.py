@@ -218,13 +218,18 @@ def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     return [Fraction(-sum(v * num for v, num in zip(rot, nums)), d) for rot in rots]
 
 
-def _spectrum(chain: SurgeryChain) -> list[Fraction]:
-    """Sorted rational rotation numbers of a built chain over all its
-    rotation vectors; the vector list lives only for this call."""
-    return sorted(rot_q_surgery(chain, rot_choices(chain)))
+def _spectrum(chain: SurgeryChain):
+    """Sorted rational rotation numbers of a built chain over all its rotation
+    vectors v, one at a time: -sum v_i * nums_i / d, one term per component.
+    The solve and the sort of the integer sums run on the call; d = det M =
+    (-1)^n p, and dividing by a negative d reverses the order."""
+    nums, d = _cramer(_linking_rows(chain.framings), meridian_lk(chain))
+    terms = [[-v * num for v in _rots(r)] for r, num in zip(chain.framings, nums)]
+    sums = sorted(map(sum, itertools.product(*terms)), reverse=d < 0)
+    return (Fraction(s, d) for s in sums)
 
 
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:
     """Sorted multiset of rational rotation numbers of the given rational
     unknot over all stabilization choices of the chain."""
-    return _spectrum(build_chain(p, q, knot))
+    return list(_spectrum(build_chain(p, q, knot)))

@@ -491,6 +491,8 @@ class _Discard:
         ["unknots", "1000", "1"],
         ["unknots", "1000", "1", "--format", "json"],
         ["farey", "path", "-20000/1", "0"],
+        ["surgery", "832040", "317811"],
+        ["surgery", "832040", "317811", "--format", "json"],
     ],
     ids=" ".join,
 )
@@ -501,7 +503,10 @@ def test_mountain_range_memory_is_bounded(argv):
     L(1000,1) carry about a million signs, which rendered whole take
     2.6-8.2 MiB; written class by class they need the records and one row.
     The 20 001 vertices of the geodesic from -20000 to 0 take 4.5 MiB
-    held; written vertex by vertex they need one."""
+    held; written vertex by vertex they need one.  The 2^14 rotation
+    numbers of the 14-component all-(-3) chain of L(832040,317811) take
+    over 4 MiB held as vectors, Fractions and strings; as sorted integer
+    sums written value by value they need about 1 MiB."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_Discard()):
@@ -721,8 +726,8 @@ def test_a_call_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    # rot_choices is where surgery 12586269025 4807526976 runs out for real.
-    monkeypatch.setattr("lensknots.surgery.rot_choices", exhausted)
+    # _spectrum is where surgery 86267571272 32951280099 runs out for real.
+    monkeypatch.setattr("lensknots.surgery._spectrum", exhausted)
     code = main(["surgery", "5", "2"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", "error: surgery ran out of memory\n")

@@ -184,9 +184,13 @@ def test_rationals_are_built_only_at_the_return():
 def test_surgery_reads_its_spectrum_off_one_chain():
     """rot_spectrum and the CLI read the spectrum off a built chain through
     one private _spectrum, and cmd_surgery builds that chain itself instead
-    of calling rot_spectrum, which would build it again."""
+    of calling rot_spectrum, which would build it again.  _spectrum sums
+    one term per component off the sparse meridian solve: it builds no
+    rotation vector, re-checks none and never reads a dense matrix."""
     assert "_spectrum" in _names_reached(surgery, "rot_spectrum")
-    assert {"rot_q_surgery", "rot_choices"} <= _names_reached(surgery, "_spectrum")
+    spectrum = _names_reached(surgery, "_spectrum")
+    assert {"_cramer", "_linking_rows", "_rots"} <= spectrum
+    assert not {"rot_choices", "rot_q_surgery", "_rows", "linking_matrix", "solve_exact"} & spectrum
     reached = _names_reached(cli, "cmd_surgery")
     assert {"_spectrum", "build_chain"} <= reached
     assert "rot_spectrum" in vars(surgery)

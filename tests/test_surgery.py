@@ -397,6 +397,9 @@ class TestRotation:
                 calls.clear()
                 rot_spectrum(p, q, knot)
                 assert len(calls) == 1, f"L({p},{q}) {knot}"
+                calls.clear()
+                surgery._spectrum(build_chain(p, q, knot))  # solved on the call, not at next()
+                assert len(calls) == 1, f"L({p},{q}) {knot} unconsumed"
 
     @pytest.mark.parametrize(
         "p,q,knot,spectrum",
