@@ -37,7 +37,6 @@ from .surgery import (
     linking_det,
     linking_matrix,
     meridian_lk,
-    rot_choices,
     rot_q_surgery,
     rot_spectrum,
     solve_exact,

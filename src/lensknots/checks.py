@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
-from .slopes import Slope, _Record, _set, farey_mul
+from .slopes import Slope, _Record, _set, cf_matrix_identity, farey_mul
 from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_det, linking_matrix, rot_q_surgery
 from .tight import (
     ShuffleClass,
@@ -140,9 +140,15 @@ def _rot_failures(batch):
             for i, size, plus in zip(slots, ts.blocks, ts.plus_counts):
                 rot[i] = size - 2 * plus
             vectors.append(tuple(rot))
-        for knot, chain, farey_side in zip(KNOTS, chains, rots):
-            holds = fits and rot_q_surgery(chain, vectors) == farey_side
-            yield None if holds else f"L({p},{q}) {knot}"
+        # The meridian has tb = -1, so a core's tb_Q is -1 minus its diagonal cofactor over
+        # det M, a continuant of the chain: (q - p)/p for k1, (p' - p)/p for k2, in integers.
+        cp, cp_, cq, _ = cf_matrix_identity(framings)
+        peaks = zip(classes[0].decoration.peak_tb, (cq, cp_))
+        for knot, chain, farey_side, (tb, end) in zip(KNOTS, chains, rots, peaks):
+            if not (fits and rot_q_surgery(chain, vectors) == farey_side):
+                yield f"L({p},{q}) {knot}"
+            else:
+                yield None if tb.numerator * cp == (end - cp) * tb.denominator else f"L({p},{q}) {knot} tb"
 
 
 def block_partition(path: list[Slope]) -> list[int]:

@@ -47,11 +47,9 @@ def farthest_neighbor(s: Slope, bound: Slope) -> Slope:
     if s == bound:
         raise ValueError("farthest_neighbor needs distinct slopes")
     e = farey_mul(s, bound)
-    if abs(e) == 1:
-        return bound
     c, d = neighbor_family(s)
     # The family member indexed k passes bound at k = (bound.num*d - c*bound.den)/e;
-    # the smallest integer k at or past that crossing is the farthest neighbor.
+    # the smallest integer k at or past it is the farthest neighbor (bound if |e| == 1).
     k = -((c * bound.den - bound.num * d) // e)
     return Slope(c + k * s.num, d + k * s.den)
 

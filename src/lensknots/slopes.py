@@ -225,8 +225,6 @@ def dual_fraction(p: int, q: int) -> Slope:
     positive q'.
     """
     require_lens_pair(p, q)
-    if q == 1:
-        return INFINITY
     q_ = (-pow(p, -1, q)) % q
     p_ = (p * q_ + 1) // q
     return Slope(p_, q_)

@@ -93,13 +93,6 @@ def _rots(r: int) -> range:
     return range(r + 2, -r - 1, 2)
 
 
-def rot_choices(chain: SurgeryChain) -> list[tuple[int, ...]]:
-    """All admissible rotation vectors of the chain components: the
-    Cartesian product of their rotation numbers, one tuple per
-    stabilization pattern."""
-    return list(itertools.product(*map(_rots, chain.framings)))
-
-
 def det_bareiss(matrix) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss)
     elimination (_eliminate), on the rows that _rows reads; every
@@ -203,9 +196,9 @@ def _cramer(rows: list[dict[int, int]], rhs) -> tuple[list[int], int]:
 
 def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
-    rots (each one that rot_choices lists, checked before the solve); M^-1 . lk
-    is solved once, as integers over det M, so each vector's sum is over
-    integers and becomes one Fraction."""
+    rots (each with |rot_i| <= -r_i - 2 and rot_i = r_i mod 2, checked before
+    the solve); M^-1 . lk is solved once, as integers over det M, so each
+    vector's sum is over integers and becomes one Fraction."""
     allowed, rots = [_rots(r) for r in chain.framings], list(rots)
     for rot in rots:
         if len(rot) != len(allowed):

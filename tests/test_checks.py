@@ -7,7 +7,7 @@ from lensknots import checks, unknots
 from lensknots.checks import check_sweep, lens_pairs
 from lensknots.farey import bfs_oracle
 from lensknots.mcg import GroupDescription
-from lensknots.slopes import cf_matrix_identity, farey_sum
+from lensknots.slopes import farey_sum
 
 
 def test_lens_pairs():
@@ -158,13 +158,6 @@ def test_det_family_checks_each_lens_space(monkeypatch):
     assert list(checks._det_failures(_batch({(5, 2): [], (7, 3): []}))) == ["L(5,2)", "L(7,3)"]
 
 
-def test_det_family_checks_the_sign_of_the_linking_det(monkeypatch):
-    # A linking_det without its (-1)^n has the right absolute value and the
-    # wrong sign on chains of odd length, the first being L(2,1)'s [-2].
-    monkeypatch.setattr(checks, "linking_det", lambda chain: cf_matrix_identity(chain.framings)[0])
-    assert _failures(4) == {"linking matrix determinant = p": "L(2,1)"}
-
-
 def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
     # Where the table merges k1 with k2 their peak tb must agree; L(2,1)
     # is the first lens space with a single oriented unknot.
@@ -247,9 +240,10 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
 
 
 def test_rot_family_compares_class_by_class(monkeypatch):
-    # Negating k2's Farey rot keeps its sorted spectrum, which rot_choices
-    # makes symmetric under negation, so only a class-by-class comparison
-    # sees it; L(2,1) has rot 0, and L(3,1) is the first with rot +-1/3.
+    # Negating k2's Farey rot keeps its sorted spectrum, which the
+    # admissible rotation vectors make symmetric under negation, so only a
+    # class-by-class comparison sees it; L(2,1) has rot 0, and L(3,1) is
+    # the first with rot +-1/3.
     rot_q_farey = checks.rot_q_farey
 
     def negated_k2(ts, knot="k1"):

@@ -87,6 +87,16 @@ class TestFarthestNeighbor:
             assert abs(farey_mul(s, v)) == 1
             assert v == bound or in_arc(v, s, bound)
 
+    def test_a_neighboring_bound_is_the_answer(self):
+        # When s and bound share an edge, the family crosses bound at an
+        # integer index, so the general step returns bound itself: every such
+        # ordered pair with |num| <= 30 and den <= 30, infinity included.
+        slopes = [(n, d) for d in range(31) for n in range(-30, 31) if math.gcd(n, d) == 1 and (d or n == 1)]
+        pairs = [(s, b) for s in slopes for b in slopes if abs(s[0] * b[1] - s[1] * b[0]) == 1]
+        assert (len(slopes), len(pairs)) == (1112, 4442)
+        for s, b in pairs:
+            assert farthest_neighbor(Slope(*s), Slope(*b)) == Slope(*b), (s, b)
+
     def test_rejects_equal(self):
         with pytest.raises(ValueError):
             farthest_neighbor(ZERO, ZERO)

@@ -189,7 +189,9 @@ def test_cf_matrix_identity():
 def test_dual_fraction_values():
     assert dual_fraction(5, 2) == Slope(3, 1)
     assert dual_fraction(5, 4) == Slope(4, 3)
-    assert dual_fraction(7, 1) == INFINITY
+    # 1/0 exactly when q = 1, where pow(p, -1, 1) is 0, so q' = 0 and p' = 1.
+    assert all(dual_fraction(p, 1) == INFINITY for p in range(2, 201))
+    assert all(dual_fraction(p, q).den > 0 for p, q in lens_pairs(60) if q > 1)
     with pytest.raises(ValueError):
         dual_fraction(4, 2)
 

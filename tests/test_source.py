@@ -190,8 +190,30 @@ def test_surgery_reads_its_spectrum_off_one_chain():
     assert "_spectrum" in _names_reached(surgery, "rot_spectrum")
     spectrum = _names_reached(surgery, "_spectrum")
     assert {"_cramer", "_linking_rows", "_rots"} <= spectrum
-    assert not {"rot_choices", "rot_q_surgery", "_rows", "linking_matrix", "solve_exact"} & spectrum
+    assert not {"rot_q_surgery", "_rows", "linking_matrix", "solve_exact"} & spectrum
     reached = _names_reached(cli, "cmd_surgery")
     assert {"_spectrum", "build_chain"} <= reached
     assert "rot_spectrum" in vars(surgery)
     assert "rot_spectrum" not in reached
+
+
+_LAYERS = (("slopes",), ("farey", "bypass"), ("tight", "surgery"), ("unknots", "mcg"), ("checks",), ("cli",))
+
+
+def test_modules_import_down_the_layers():
+    """Each module imports (from .x import ..., from . import x) only modules
+    of its own layer or an earlier one: slopes -> farey/bypass ->
+    tight/surgery -> unknots/mcg -> checks -> cli.  The one upward edge is
+    tight -> mcg, where decoration reads unknot_classes once per lens space."""
+    layer = {module: i for i, modules in enumerate(_LAYERS) for module in modules}
+    root = Path(lensknots.__file__).parent
+    assert set(layer) == {path.stem for path in root.glob("*.py")} - {"__init__"}
+    upward = set()
+    for module in layer:
+        for node in ast.walk(ast.parse((root / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("lensknots")):
+                target = (node.module or "").removeprefix("lensknots").lstrip(".")
+                for name in [target] if target else [alias.name for alias in node.names]:
+                    if layer[name] > layer[module]:
+                        upward.add((module, name))
+    assert upward == {("tight", "mcg")}

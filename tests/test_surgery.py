@@ -15,11 +15,15 @@ from lensknots.surgery import (
     linking_det,
     linking_matrix,
     meridian_lk,
-    rot_choices,
     rot_q_surgery,
     rot_spectrum,
     solve_exact,
 )
+
+
+def admissible(framings):
+    """Every rotation vector of the chain, stated from the framings alone."""
+    return list(itertools.product(*(range(r + 2, -r - 1, 2) for r in framings)))
 
 
 def naive_det(m):
@@ -94,13 +98,6 @@ def test_meridian_lk():
     chain = SurgeryChain((-3, -2, -3), "last")
     assert meridian_lk(chain) == (0, 0, 1)
     assert meridian_lk(SurgeryChain((-3, -2, -3))) == (1, 0, 0)
-
-
-def test_rot_choices():
-    chain = SurgeryChain((-3, -2))
-    assert rot_choices(chain) == [(-1, 0), (1, 0)]
-    # a -2 framed component admits only rotation 0
-    assert rot_choices(SurgeryChain((-2, -2))) == [(0, 0)]
 
 
 class TestDeterminant:
@@ -344,9 +341,11 @@ class TestRotation:
             with pytest.raises(ValueError):
                 rot_q_surgery(chain, [rot])
         assert rot_q_surgery(chain, []) == []
-        # rot_q_surgery takes exactly the vectors that rot_choices lists.
+        # rot_q_surgery takes exactly the vectors of a tb = r + 1 unknot per
+        # component: |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2).
         chain = SurgeryChain((-4, -2, -5))
-        choices = set(rot_choices(chain))
+        choices = set(admissible(chain.framings))
+        assert len(choices) == 3 * 1 * 4
         for rot in itertools.product(range(-4, 5), repeat=3):
             if rot in choices:
                 rot_q_surgery(chain, [rot])
@@ -379,7 +378,7 @@ class TestRotation:
             for knot in KNOTS:
                 chain = build_chain(p, q, knot)
                 x = solve_exact(linking_matrix(chain), meridian_lk(chain))
-                rots = rot_choices(chain)
+                rots = admissible(chain.framings)
                 expected = [-sum(v * xi for v, xi in zip(rot, x)) for rot in rots]
                 assert rot_q_surgery(chain, rots) == expected, f"L({p},{q}) {knot}"
 
