@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
-from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
+from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg
 from .slopes import Slope, _Record, _set, cf_matrix_identity, farey_mul
 from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_det, linking_matrix, rot_q_surgery
 from .tight import (
@@ -23,7 +23,7 @@ from .tight import (
     is_universally_tight,
     standard_structures,
 )
-from .unknots import rot_q_farey, tb_q_peak
+from .unknots import rot_q_farey
 
 
 class CheckResult(_Record):
@@ -227,7 +227,7 @@ def _det_failures(batch):
 
 
 def _mcg_failures(batch):
-    for p, q, _, rots, _ in batch:
+    for p, q, classes, rots, _ in batch:
         c, s = contact_mcg(p, q), smooth_mcg(p, q)
         if s.order % c.order != 0:
             yield f"L({p},{q}) order divisibility"
@@ -237,14 +237,14 @@ def _mcg_failures(batch):
             yield f"L({p},{q}) sigma without q^2=1"
         else:
             yield None
-            if (n := len(unknot_classes(p, q))) >= 4:
+            # The oriented unknots and peaks that `unknots` prints, off the decoration.
+            d = classes[0].decoration
+            if (n := len(d.knots)) >= 4:
                 continue
             # Oriented unknots the table merges share their peaks in every
             # structure: k2 is k1 where they merge, and a lone k1 has rot 0.
-            if tb_q_peak(p, q, "k1") != tb_q_peak(p, q, "k2"):
-                yield f"L({p},{q}) merged unknots with different peak tb"
-            else:
-                yield None
+            tb1, tb2 = d.peak_tb
+            yield None if tb1 == tb2 else f"L({p},{q}) merged unknots with different peak tb"
             for i, (rot1, rot2) in enumerate(zip(*rots)):
                 if rot1 != rot2 or (n == 1 and rot1 != 0):
                     yield f"L({p},{q}) class {i} merged unknots with different peak rot"

@@ -140,14 +140,15 @@ def enumerate_tight(p: int, q: int) -> list[ShuffleClass]:
 
 def class_from_signs(p: int, q: int, signs: str) -> ShuffleClass:
     """Shuffle class containing the decoration given as a +/- string, one
-    character per decorated edge."""
-    d = decoration(p, q)
-    if len(signs) != sum(d.blocks):
-        raise ValueError(
-            f"L({p},{q}) has {sum(d.blocks)} decorated edges, got {len(signs)} signs"
-        )
+    character per decorated edge.  The length is checked against the chain,
+    before the path is walked."""
+    require_lens_pair(p, q)
+    edges = sum(-r - 2 for r in neg_cf(Slope(-p, q)))  # a -2 component has none
+    if len(signs) != edges:
+        raise ValueError(f"L({p},{q}) has {edges} decorated edges, got {len(signs)} signs")
     if any(ch not in "+-" for ch in signs):
         raise ValueError("signs must be a string over '+' and '-'")
+    d = decoration(p, q)
     plus_counts = []
     pos = 0
     for size in d.blocks:

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from lensknots import checks, unknots
+from lensknots import checks, tight
 from lensknots.checks import check_sweep, lens_pairs
 from lensknots.farey import bfs_oracle
-from lensknots.mcg import GroupDescription
+from lensknots.mcg import GroupDescription, unknot_classes
 from lensknots.slopes import farey_sum
 
 
@@ -161,15 +161,17 @@ def test_det_family_checks_each_lens_space(monkeypatch):
 def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
     # Where the table merges k1 with k2 their peak tb must agree; L(2,1)
     # is the first lens space with a single oriented unknot.
-    peak_tb = unknots.peak_tb
+    # The decoration holds the peaks, so the surgery tb check fails too.
+    peak_tb = tight.peak_tb
 
     def wrong_k2(p, q):
         tb1, tb2 = peak_tb(p, q)
         return tb1, tb2 - 1
 
-    monkeypatch.setattr(unknots, "peak_tb", wrong_k2)
+    monkeypatch.setattr(tight, "peak_tb", wrong_k2)
     assert _failures(6) == {
-        "MCG divisibility and iso criterion": "L(2,1) merged unknots with different peak tb"
+        "rotation numbers: Farey vs surgery": "L(2,1) k2 tb",
+        "MCG divisibility and iso criterion": "L(2,1) merged unknots with different peak tb",
     }
 
 
@@ -229,7 +231,7 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
     merged = [
         ts
         for (p, q), classes in tight.items()
-        if len(checks.unknot_classes(p, q)) < 4
+        if len(unknot_classes(p, q)) < 4
         for ts in classes
     ]
     assert all(abs(negated_k2(ts, "k1")) == abs(negated_k2(ts, "k2")) for ts in merged)

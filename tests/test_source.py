@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import lensknots
-from lensknots import checks, cli, farey, slopes, surgery, tight, unknots
+from lensknots import checks, cli, farey, mcg, slopes, surgery, tight, unknots
 
 
 def test_library_has_no_assert():
@@ -154,6 +154,18 @@ def test_oracles_stay_independent():
     reached = _names_reached(checks, "_rot_failures") | _names_reached(checks, "_lens_space")
     assert {"rot_q_farey", "build_chain", "chains"} <= reached
     assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()
+
+
+def test_check_reads_the_unknots_off_the_decoration():
+    """The MCG family takes the oriented unknots and the peak tb from the
+    decoration that unknots prints from, not through a second route by
+    mcg.unknot_classes or unknots.tb_q_peak, which checks does not bind."""
+    second = {"unknot_classes", "tb_q_peak"}
+    assert "unknot_classes" in vars(mcg) and "tb_q_peak" in vars(unknots)
+    reached = _names_reached(checks, "_mcg_failures")
+    assert {"decoration", "knots", "peak_tb"} <= reached
+    assert second & reached == set()
+    assert second & vars(checks).keys() == set()
 
 
 def test_linking_matrix_has_one_row_builder():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -104,6 +105,37 @@ class TestClassFromSigns:
             class_from_signs(9, 2, "+-")
         with pytest.raises(ValueError):
             class_from_signs(9, 2, "+0-")
+
+    # The chain -p/q = [r_0, ..., r_n] by hand, and its count of decorated
+    # edges, the sum of -r_i - 2: q = 1 gives [-p]; odd p with q = 2 gives
+    # [-(p + 1)/2, -2]; and (10^18 + 3)/12 gives [-83333333333333334, -3, -2, -3].
+    @pytest.mark.parametrize(
+        "p,q,edges",
+        [
+            (7, 1, 5),
+            (10**18 + 1, 1, 10**18 - 1),
+            (9, 2, 3),
+            (10**18 + 1, 2, (10**18 + 2) // 2 - 2),
+            (10**18 + 3, 12, 83333333333333334),
+        ],
+    )
+    def test_wrong_length_is_refused_from_the_chain(self, p, q, edges):
+        # Too long a string to build, so a stand-in with only a length: the
+        # path, about p/q vertices, must not be walked before the refusal.
+        class Signs:
+            def __len__(self):
+                return edges - 1
+
+        signs = "+" * (edges - 1) if edges < 100 else Signs()
+        t0 = time.perf_counter()
+        message = f"L({p},{q}) has {edges} decorated edges, got {edges - 1} signs"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            class_from_signs(p, q, signs)
+        assert time.perf_counter() - t0 < 1
+
+    def test_bad_pair_is_refused_before_the_signs(self):
+        with pytest.raises(ValueError, match=re.escape("need coprime p > q > 0, got (4, 2)")):
+            class_from_signs(4, 2, "x")
 
 
 # (p, q), plus counts, and the error: L(9,2) has one block of three decorated
