@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .farey import farthest_neighbor
-from .slopes import Slope, _Record, _set
+from .slopes import Slope, _fraction, _Record, _set
 
 
 class TorusState(_Record):
@@ -43,7 +41,7 @@ def tb_from_dividing(intersections: int) -> Fraction:
         raise ValueError("intersection count must be an integer")
     if intersections < 2 or intersections % 2:
         raise ValueError("intersection count must be even and >= 2")
-    return Fraction(-intersections, 2)
+    return _fraction(-intersections, 2)
 
 
 def basic_slice_walk(start: Slope, stop: Slope) -> list[TorusState]:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from fractions import Fraction
 
 from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg
-from .slopes import Slope, _Record, _set, cf_matrix_identity, farey_mul
+from .slopes import Slope, _fraction, _Record, _set, cf_matrix_identity, farey_mul
 from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_det, linking_matrix, rot_q_surgery
 from .tight import (
     ShuffleClass,
@@ -141,14 +140,15 @@ def _rot_failures(batch):
                 rot[i] = size - 2 * plus
             vectors.append(tuple(rot))
         # The meridian has tb = -1, so a core's tb_Q is -1 minus its diagonal cofactor over
-        # det M, a continuant of the chain: (q - p)/p for k1, (p' - p)/p for k2, in integers.
+        # det M, a continuant of the chain: (q - p)/p for k1, (p' - p)/p for k2, in integers;
+        # the decoration holds p tb_Q.
         cp, cp_, cq, _ = cf_matrix_identity(framings)
         peaks = zip(classes[0].decoration.peak_tb, (cq, cp_))
         for knot, chain, farey_side, (tb, end) in zip(KNOTS, chains, rots, peaks):
             if not (fits and rot_q_surgery(chain, vectors) == farey_side):
                 yield f"L({p},{q}) {knot}"
             else:
-                yield None if tb.numerator * cp == (end - cp) * tb.denominator else f"L({p},{q}) {knot} tb"
+                yield None if tb * cp == (end - cp) * p else f"L({p},{q}) {knot} tb"
 
 
 def block_partition(path: list[Slope]) -> list[int]:
@@ -198,7 +198,7 @@ def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Oracle for unknots.rot_q_farey: the signed sum over every decorated
     edge, one term per edge, without the shuffle blocks."""
     i, sign = _knot(knot)
-    return Fraction(sign * _edge_total(ts.sign_string, _edge_weights(ts.path)[i]), ts.p)
+    return _fraction(sign * _edge_total(ts.sign_string, _edge_weights(ts.path)[i]), ts.p)
 
 
 def _block_failures(batch):

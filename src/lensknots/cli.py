@@ -3,13 +3,18 @@
 Every value in tsv and json output is an exact fraction rendered as a
 "num/den" string (or a bare integer, or "inf"), so JSON output round-trips
 to the identical values; SVG pixel coordinates are the one rounded output.
+
+A call builds no Fraction: each rational it prints is an integer over p or
+over det M, read off the library's private integer forms and rendered by
+slopes._ratio, and JSON is written by _json, with json.dumps's bytes.  So
+a call loads neither fractions (with the decimal, numbers and re it
+imports) nor json, and reads its options without re; only check, whose
+families compare the public Fraction values, loads fractions as it runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import re
 import sys
 import types
 
@@ -18,9 +23,9 @@ from . import surgery
 from .bypass import TorusState, attach_bypass
 from .checks import check_sweep
 from .farey import _geodesic
-from .slopes import Slope, _int
+from .slopes import Slope, _int, _ratio
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
-from .unknots import legendrian_classification, mountain_range
+from .unknots import _classification, _columns, _depth, _peak, _rows, sl_q
 
 _MCG_TABLES = {
     "smooth": mcg_mod.smooth_mcg,
@@ -36,13 +41,51 @@ def _group_str(g) -> str:
     return f"{g.tag} [{' '.join(g.generators)}]"
 
 
+# The two-character escapes of json.dumps; every other character outside
+# printable ASCII becomes \uXXXX, a surrogate pair above U+FFFF.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _json(value) -> str:
+    """json.dumps(value) for the values the CLI writes: dicts with str keys,
+    lists, tuples, str, int, bool and None; any other value raises
+    TypeError."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int, which bool subclasses
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return '"' + "".join(map(_json_char, value)) + '"'
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not written as JSON")
+
+
+def _json_char(ch: str) -> str:
+    if ch in _ESCAPES:
+        return _ESCAPES[ch]
+    if " " <= ch <= "~":
+        return ch
+    n = ord(ch)
+    if n > 0xFFFF:
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
 _BATCH = 1 << 16  # characters joined per write: a write costs more than a few-byte chunk
 
 
 def _write(head, chunks, sep, tail) -> None:
     """Write head, the chunks joined by sep and tail, one write per batch
     of about _BATCH characters.  A JSON document's last list streams after
-    json.dumps of the document with that list empty, cut before its "]}".
+    _json of the document with that list empty, cut before its "]}".
     Callers run all that can fail first, so a failing call writes nothing."""
     batch, size, lead = [head], len(head), ""
     for chunk in chunks:
@@ -57,7 +100,7 @@ def _write(head, chunks, sep, tail) -> None:
 
 def cmd_farey(args) -> int:
     path = _geodesic(Slope.parse(args.frm), Slope.parse(args.to))
-    _write("[", (json.dumps(str(v)) for v in path), ", ", "]\n")
+    _write("[", (_json(str(v)) for v in path), ", ", "]\n")
     return 0
 
 
@@ -72,7 +115,7 @@ def cmd_tight(args) -> int:
     if args.list:
         classes = enumerate_tight(args.p, args.q)
         doc = {"path": [str(v) for v in classes[0].path], "structures": []}
-        _write(json.dumps(doc)[:-2], (json.dumps(ts.sign_string) for ts in classes), ", ", "]}\n")
+        _write(_json(doc)[:-2], (_json(ts.sign_string) for ts in classes), ", ", "]}\n")
     else:
         print(count_tight_lens(args.p, args.q))
     return 0
@@ -81,37 +124,39 @@ def cmd_tight(args) -> int:
 def cmd_surgery(args) -> int:
     chain = surgery.build_chain(args.p, args.q, args.knot)
     if args.rots is None:
-        key, values = "spectrum", surgery._spectrum(chain)
+        key, (sums, d) = "spectrum", surgery._spectrum(chain)
     else:
         try:
             rot = tuple(_int(v) for v in args.rots.split(",")) if args.rots else ()
         except ValueError:
             raise ValueError(f"--rots takes comma-separated integers, got {args.rots!r}") from None
-        key, values = "rot_q", surgery.rot_q_surgery(chain, [rot])
+        key, (sums, d) = "rot_q", surgery._rot_sums(chain, [rot])
     # rot_Q comes first, so a bad --rots fails before the dense matrix exists.
     matrix, det = surgery.linking_matrix(chain), surgery.linking_det(chain)
     doc = {"framings": chain.framings, "meridian_of": chain.meridian_of, "matrix": matrix, "det": det}
+    values = (_ratio(s, d) for s in sums)
     if args.format == "tsv":
         rows = ("\t".join(str(v) for v in row) + "\n" for row in matrix)
-        cells = ("\t" + str(v) for v in values)
+        cells = ("\t" + v for v in values)
         _write("", itertools.chain(rows, [f"det\t{det}\n{key}"], cells), "", "\n")
     elif args.rots is None:
-        _write(json.dumps({**doc, key: []})[:-2], (json.dumps(str(v)) for v in values), ", ", "]}\n")
+        _write(_json({**doc, key: []})[:-2], (_json(v) for v in values), ", ", "]}\n")
     else:
-        print(json.dumps({**doc, key: str(values[0])}))
+        print(_json({**doc, key: next(values)}))
     return 0
 
 
 def cmd_unknots(args) -> int:
     p, q, signs = args.p, args.q, args.structure
     columns = ("structure", "knot", "tb_q", "rot_q", "sl_q")
+    # tb, rot and sl are integers over p, and sl_q is linear.
     rows = (
-        (ts.sign_string, c.knot, str(c.tb_q), str(c.rot_q), str(c.sl_q))
+        (ts.sign_string, knot, _ratio(tb, p), _ratio(rot, p), _ratio(sl_q(tb, rot), p))
         for ts in (enumerate_tight(p, q) if signs is None else [class_from_signs(p, q, signs)])
-        for c in legendrian_classification(p, q, ts)
+        for knot, tb, rot in _classification(p, q, ts)
     )
     if args.format == "json":
-        _write("[", (json.dumps(dict(zip(columns, row))) for row in rows), ", ", "]\n")
+        _write("[", (_json(dict(zip(columns, row))) for row in rows), ", ", "]\n")
     else:
         _write("\t".join(columns) + "\n", ("\t".join(row) + "\n" for row in rows), "", "")
     return 0
@@ -120,33 +165,36 @@ def cmd_unknots(args) -> int:
 def cmd_mountain(args) -> int:
     if args.structure is None and count_tight_lens(args.p, args.q) != 1:
         raise ValueError("ambiguous tight structure; pass --structure SIGNS")
-    ts = class_from_signs(args.p, args.q, args.structure or "")
-    mr = mountain_range(args.p, args.q, ts, args.knot, args.depth)
-    rots, tbs = mr.columns()
+    p = args.p
+    ts = class_from_signs(p, args.q, args.structure or "")
+    # unknots.mountain_range over p: the peak, the columns and the rows are
+    # integers over p, one stabilization a step of p.
+    (rot, tb), depth = _peak(p, args.q, ts, args.knot), _depth(args.depth)
+    rots, tbs = _columns(rot, tb, depth, p)
     # Each rot and tb is rendered once: the point (rots[i], tbs[k]) reads
     # cells[i] + ends[k], and the points are joined by sep.
     if args.format == "json":
-        peak = [str(mr.peak[0]), str(mr.peak[1])]
-        doc = {"knot": mr.knot, "peak": peak, "depth": mr.depth, "points": []}
-        head, sep, tail = json.dumps(doc)[:-2], ", ", "]}\n"
-        cells = ["[" + json.dumps(str(r)) for r in rots]
-        ends = [f", {json.dumps(str(t))}]" for t in tbs]
+        doc = {"knot": args.knot, "peak": [_ratio(rot, p), _ratio(tb, p)], "depth": depth, "points": []}
+        head, sep, tail = _json(doc)[:-2], ", ", "]}\n"
+        cells = ["[" + _json(_ratio(r, p)) for r in rots]
+        ends = [f", {_json(_ratio(t, p))}]" for t in tbs]
     elif args.format == "svg":
         unit = 30  # pixels per rot and per tb unit, keeping the grid square
-        x0, x1 = min(rots) - 1, max(rots) + 1
-        y0, y1 = min(tbs) - 1, max(tbs) + 1
-        width, height = int((x1 - x0) * unit), int((y1 - y0) * unit)
+        x0, x1 = min(rots) - p, max(rots) + p
+        y0, y1 = min(tbs) - p, max(tbs) + p
+        width, height = (x1 - x0) * unit // p, (y1 - y0) * unit // p
         head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n'
         )
         sep, tail = "\n", "\n</svg>\n"
-        cells = [f'<circle cx="{float((r - x0) * unit):.1f}' for r in rots]
-        ends = [f'" cy="{float((y1 - t) * unit):.1f}" r="4" fill="black"/>' for t in tbs]
+        # Int true division rounds correctly, as float() of the Fraction does.
+        cells = [f'<circle cx="{(r - x0) * unit / p:.1f}' for r in rots]
+        ends = [f'" cy="{(y1 - t) * unit / p:.1f}" r="4" fill="black"/>' for t in tbs]
     else:
         head, sep, tail = "rot_q\ttb_q\n", "", ""
-        cells, ends = [str(r) for r in rots], [f"\t{t}\n" for t in tbs]
-    _write(head, ((end + sep).join(row) + end for end, row in mr.rows(cells, ends)), sep, tail)
+        cells, ends = [_ratio(r, p) for r in rots], [f"\t{_ratio(t, p)}\n" for t in tbs]
+    _write(head, ((end + sep).join(row) + end for end, row in _rows(depth, cells, ends)), sep, tail)
     return 0
 
 
@@ -179,7 +227,7 @@ def cmd_check(args) -> int:
             }
             for c in report.checks
         ]
-        print(json.dumps({"p_max": report.p_max, "checks": checks}))
+        print(_json({"p_max": report.p_max, "checks": checks}))
     else:
         for c in report.checks:
             status = "PASS" if c.passed else f"FAIL at {c.counterexample}"
@@ -291,8 +339,14 @@ class _Usage(Exception):
     message, None for the help."""
 
 
-# Spelled like an option: -x, --name or --name=value.
-_OPTION = re.compile(r"-[A-Za-z]|--[A-Za-z][\w-]*(?:=.*)?", re.S)
+def _is_option(token: str) -> bool:
+    """Whether the token is spelled like an option: -x, --name or
+    --name=value, where x and the name's first character are ASCII letters
+    and the name goes on with word characters (str.isalnum, "_") and "-"."""
+    if token[:2] == "--":
+        name = token[2:].partition("=")[0]
+        return name[:1].isascii() and name[:1].isalpha() and all(ch.isalnum() or ch in "_-" for ch in name)
+    return len(token) == 2 and token[0] == "-" and token[1].isascii() and token[1].isalpha()
 
 
 def _value(command, label, kwargs, token):
@@ -330,7 +384,7 @@ def _parse(argv):
     """The namespace of the call, with argparse's attributes and func;
     raises _Usage for the help and for argparse's usage errors.
 
-    A token is an option only if _OPTION spells it; every other token is a
+    A token is an option only if _is_option says so; every other token is a
     value, wherever it stands.  The first value names the subcommand, and
     the values after it fill its positionals in order, a "+" positional
     taking values up to the next option.  A value option takes the next
@@ -344,7 +398,7 @@ def _parse(argv):
     chosen, more = {}, None
     tokens = iter(argv)
     for token in tokens:
-        if _OPTION.fullmatch(token) is None:
+        if not _is_option(token):
             if more:
                 label, kwargs, taken = more
                 taken.append(_value(command, label, kwargs, token))
@@ -375,7 +429,7 @@ def _parse(argv):
         if action is None:
             if not eq:
                 value = next(tokens, None)
-                if value is None or _OPTION.fullmatch(value):
+                if value is None or _is_option(value):
                     raise _Usage(command, f"argument {name}: expected one argument")
             values[dest] = _value(command, name, kwargs, value)
         elif eq:

@@ -8,9 +8,31 @@ here ever touches a float.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 _set = object.__setattr__
+_Fraction = None  # fractions.Fraction, bound by the first _fraction call
+
+
+def _fraction(num: int, den: int = 1):
+    """Fraction(num, den).  The class is imported on the first call and
+    bound once: fractions, with the decimal, numbers and re that it loads,
+    stays unloaded in every process that builds no Fraction, such as a CLI
+    call that prints its rationals with _ratio."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(num, den)
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)), for den != 0, read off the integers: the
+    gcd divided out, the sign on the numerator, and a bare integer when
+    the denominator divides."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _int(text: str) -> int:
@@ -105,17 +127,13 @@ class Slope(_Record):
     def as_fraction(self) -> Fraction:
         if self.is_infinite:
             raise ValueError("infinite slope has no rational value")
-        return Fraction(self.num, self.den)
+        return _fraction(self.num, self.den)
 
     def __neg__(self) -> "Slope":
         return Slope(-self.num, self.den)
 
     def __str__(self) -> str:
-        if self.is_infinite:
-            return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        return "inf" if self.is_infinite else _ratio(self.num, self.den)
 
     def __repr__(self) -> str:
         return f"Slope({self})"

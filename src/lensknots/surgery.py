@@ -10,9 +10,8 @@ integer elimination; no floats.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .slopes import Slope, _Record, _set, cf_matrix_identity, neg_cf, require_lens_pair
+from .slopes import Slope, _fraction, _Record, _set, cf_matrix_identity, neg_cf, require_lens_pair
 
 KNOTS = ("k1", "k2")
 # Oriented rational unknot -> (index of its core in KNOTS, orientation sign);
@@ -172,7 +171,7 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
     if not all(isinstance(b, int) for b in rhs):
         raise ValueError("right-hand side entries must be integers")
     nums, d = _cramer(_rows(matrix), rhs)
-    return [Fraction(v, d) for v in nums]
+    return [_fraction(v, d) for v in nums]
 
 
 def _cramer(rows: list[dict[int, int]], rhs) -> tuple[list[int], int]:
@@ -197,8 +196,15 @@ def _cramer(rows: list[dict[int, int]], rhs) -> tuple[list[int], int]:
 def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
     rots (each with |rot_i| <= -r_i - 2 and rot_i = r_i mod 2, checked before
-    the solve); M^-1 . lk is solved once, as integers over det M, so each
-    vector's sum is over integers and becomes one Fraction."""
+    the solve): _rot_sums over det M."""
+    sums, d = _rot_sums(chain, rots)
+    return [_fraction(s, d) for s in sums]
+
+
+def _rot_sums(chain: SurgeryChain, rots) -> tuple[list[int], int]:
+    """(sums, d): det M times rot_q_surgery(chain, rots), and d = det M.
+    M^-1 . lk is solved once, as integers over d, so each vector's sum is
+    over integers."""
     allowed, rots = [_rots(r) for r in chain.framings], list(rots)
     for rot in rots:
         if len(rot) != len(allowed):
@@ -208,21 +214,21 @@ def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
         if any(v not in a for v, a in zip(rot, allowed)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
     nums, d = _cramer(_linking_rows(chain.framings), meridian_lk(chain))
-    return [Fraction(-sum(v * num for v, num in zip(rot, nums)), d) for rot in rots]
+    return [-sum(v * num for v, num in zip(rot, nums)) for rot in rots], d
 
 
-def _spectrum(chain: SurgeryChain):
-    """Sorted rational rotation numbers of a built chain over all its rotation
-    vectors v, one at a time: -sum v_i * nums_i / d, one term per component.
-    The solve and the sort of the integer sums run on the call; d = det M =
-    (-1)^n p, and dividing by a negative d reverses the order."""
+def _spectrum(chain: SurgeryChain) -> tuple[list[int], int]:
+    """(sums, d): the rational rotation numbers of a built chain over all its
+    rotation vectors v, in increasing order, as integers over d = det M =
+    (-1)^n p: -sum v_i * nums_i, one term per component.  Dividing by a
+    negative d reverses the order, so the sums are sorted against it."""
     nums, d = _cramer(_linking_rows(chain.framings), meridian_lk(chain))
     terms = [[-v * num for v in _rots(r)] for r, num in zip(chain.framings, nums)]
-    sums = sorted(map(sum, itertools.product(*terms)), reverse=d < 0)
-    return (Fraction(s, d) for s in sums)
+    return sorted(map(sum, itertools.product(*terms)), reverse=d < 0), d
 
 
 def rot_spectrum(p: int, q: int, knot: str = "k1") -> list[Fraction]:
     """Sorted multiset of rational rotation numbers of the given rational
-    unknot over all stabilization choices of the chain."""
-    return list(_spectrum(build_chain(p, q, knot)))
+    unknot over all stabilization choices of the chain: _spectrum over d."""
+    sums, d = _spectrum(build_chain(p, q, knot))
+    return [_fraction(s, d) for s in sums]

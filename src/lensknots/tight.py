@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .mcg import unknot_classes
 from .slopes import (
@@ -23,19 +22,20 @@ from .slopes import (
 )
 
 
-def peak_tb(p: int, q: int) -> tuple[Fraction, Fraction]:
-    """Maximal rational Thurston-Bennequin numbers of the cores k1 and k2:
-    -(p-q)/p and -(p-p')/p, where p'/q' is the dual fraction of p/q."""
+def peak_tb(p: int, q: int) -> tuple[int, int]:
+    """p times the maximal rational Thurston-Bennequin numbers of the cores
+    k1 and k2, q - p and p' - p, where p'/q' is the dual fraction of p/q:
+    the integers that unknots.tb_q_peak divides by p."""
     dual = dual_fraction(p, q)  # validates the lens pair first
-    return Fraction(q - p, p), Fraction(dual.num - p, p)
+    return q - p, dual.num - p
 
 
 class Decoration(_Record):
     """What every tight structure on one L(p,q) shares: the decorated path,
     its shuffle blocks, the edge vector (dnum, dden) = b - a that every
-    decorated edge a -> b of a block has in common, the peak tb of the
-    two cores (k1, k2) and the oriented rational unknots up to smooth
-    isotopy, as mcg's table lists them."""
+    decorated edge a -> b of a block has in common, p times the peak tb of
+    the two cores (k1, k2), as peak_tb gives them, and the oriented
+    rational unknots up to smooth isotopy, as mcg's table lists them."""
 
     __slots__ = ("p", "q", "path", "blocks", "steps", "peak_tb", "knots")
 
@@ -46,7 +46,7 @@ class Decoration(_Record):
         path: tuple[Slope, ...],
         blocks: tuple[int, ...],
         steps: tuple[tuple[int, int], ...],
-        peak_tb: tuple[Fraction, Fraction],
+        peak_tb: tuple[int, int],
         knots: tuple[str, ...],
     ):
         _set(self, "p", p)
@@ -60,7 +60,13 @@ class Decoration(_Record):
 
 def decoration(p: int, q: int) -> Decoration:
     """The shared data of the tight structures on L(p,q), walked back from
-    0/1 along the chain -p/q = [r_0, ..., r_n].
+    0/1 along the chain -p/q = [r_0, ..., r_n] (_walk)."""
+    require_lens_pair(p, q)
+    return _walk(p, q, neg_cf(Slope(-p, q)))
+
+
+def _walk(p: int, q: int, chain: list[int]) -> Decoration:
+    """The decoration of L(p,q), walked along its expanded chain.
 
     Component k gives -r_k - 2 decorated edges, plus the path's last edge at
     k = 0 and its first at k = n, all with vector (x, -y) = b - a, where x/y
@@ -69,8 +75,7 @@ def decoration(p: int, q: int) -> Decoration:
     chain order.  Vertices carry negative numerators and positive
     denominators, and the edge vectors are taken componentwise in that form.
     """
-    peak, knots = peak_tb(p, q), tuple(unknot_classes(p, q))  # both validate (p, q)
-    chain = neg_cf(Slope(-p, q))
+    peak, knots = peak_tb(p, q), tuple(unknot_classes(p, q))
     n = len(chain) - 1
     path, blocks, steps = [Slope(0)], [], []
     num, den, x, y, x0, y0 = 0, 1, 1, 0, 0, -1
@@ -141,14 +146,15 @@ def enumerate_tight(p: int, q: int) -> list[ShuffleClass]:
 def class_from_signs(p: int, q: int, signs: str) -> ShuffleClass:
     """Shuffle class containing the decoration given as a +/- string, one
     character per decorated edge.  The length is checked against the chain,
-    before the path is walked."""
+    before the path is walked along the same expansion."""
     require_lens_pair(p, q)
-    edges = sum(-r - 2 for r in neg_cf(Slope(-p, q)))  # a -2 component has none
+    chain = neg_cf(Slope(-p, q))
+    edges = sum(-r - 2 for r in chain)  # a -2 component has none
     if len(signs) != edges:
         raise ValueError(f"L({p},{q}) has {edges} decorated edges, got {len(signs)} signs")
     if any(ch not in "+-" for ch in signs):
         raise ValueError("signs must be a string over '+' and '-'")
-    d = decoration(p, q)
+    d = _walk(p, q, chain)
     plus_counts = []
     pos = 0
     for size in d.blocks:

@@ -4,11 +4,17 @@ stabilization lattices and mountain ranges."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 
-from .slopes import _Record, _set
+from .slopes import _fraction, _Record, _set
 from .surgery import _knot
 from .tight import ShuffleClass, peak_tb
+
+
+# Every structure on one lens space has the same two peak tb, and
+# legendrian_classification runs once per structure, so the Fractions of
+# the last few peaks are kept instead of being built on every call.
+_tb_fraction = functools.lru_cache(maxsize=8)(_fraction)
 
 
 def _require_structure_on(p: int, q: int, ts: ShuffleClass) -> None:
@@ -20,7 +26,7 @@ def tb_q_peak(p: int, q: int, knot: str = "k1") -> Fraction:
     """Maximal rational Thurston-Bennequin number: -(p-q)/p for k1 and
     -(p-p')/p for k2, where p'/q' is the dual fraction of p/q."""
     i, _ = _knot(knot)
-    return peak_tb(p, q)[i]
+    return _tb_fraction(peak_tb(p, q)[i], p)
 
 
 def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
@@ -46,12 +52,17 @@ def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
     return -snum * d.q - sden * d.p, -snum
 
 
+def _rot(ts: ShuffleClass, knot: str) -> int:
+    """p times rot_q_farey(ts, knot)."""
+    i, sign = _knot(knot)
+    return sign * _block_sums(ts)[i]
+
+
 def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Rational rotation number of the peak Legendrian representative, as a
     signed sum over the shuffle blocks of the structure's Farey path;
     reversing the orientation negates it."""
-    i, sign = _knot(knot)
-    return Fraction(sign * _block_sums(ts)[i], ts.decoration.p)
+    return _fraction(_rot(ts, knot), ts.decoration.p)
 
 
 def sl_q(tb_q: Fraction, rot_q: Fraction) -> Fraction:
@@ -83,26 +94,56 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
     return LegendrianClass(c.knot, c.tb_q - 1, c.rot_q + shift, c.structure)
 
 
-def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
-    """Peak Legendrian representatives in the given tight structure, one per
-    oriented rational unknot of L(p,q) (the decoration's knots).
+def _classification(p: int, q: int, ts: ShuffleClass) -> list[tuple[str, int, int]]:
+    """(knot, p tb_Q, p rot_Q) of the peak of each oriented rational unknot
+    of L(p,q) (the decoration's knots) in the given tight structure.
 
     The block sums run once per structure; a reversed knot shares the tb
     of its core and negates its rot."""
     _require_structure_on(p, q, ts)
-    sums = _block_sums(ts)
-    d = ts.decoration
+    sums, d = _block_sums(ts), ts.decoration
     out = []
     for knot in d.knots:
         i, sign = _knot(knot)
-        out.append(LegendrianClass(knot, d.peak_tb[i], Fraction(sign * sums[i], p), ts))
+        out.append((knot, d.peak_tb[i], sign * sums[i]))
     return out
+
+
+def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
+    """Peak Legendrian representatives in the given tight structure, one per
+    oriented rational unknot of L(p,q): _classification's rows over p."""
+    rows = _classification(p, q, ts)
+    return [LegendrianClass(knot, _tb_fraction(tb, p), _fraction(rot, p), ts) for knot, tb, rot in rows]
 
 
 def transverse_classification(p: int, q: int, ts: ShuffleClass) -> list[Fraction]:
     """Peak rational self-linking numbers, one per Legendrian peak; further
     transverse stabilizations each subtract 2."""
     return [c.sl_q for c in legendrian_classification(p, q, ts)]
+
+
+def _depth(depth) -> int:
+    """A stabilization depth, refused unless it is a non-negative int."""
+    if not isinstance(depth, int):
+        raise ValueError("depth must be an integer")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    return depth
+
+
+def _columns(rot, tb, depth: int, step):
+    """The columns of the mountain range with peak (rot, tb): the 2 depth + 1
+    rots rot - depth .. rot + depth and the tb of each row, tb .. tb - depth,
+    in units of one stabilization, which is step: 1 on rationals, p on
+    integers over p."""
+    return [rot + r * step for r in range(-depth, depth + 1)], [tb - k * step for k in range(depth + 1)]
+
+
+def _rows(depth: int, rots: list, tbs: list):
+    """Yield (tbs[k], the entries of rots in row k) for k = 0..depth, where
+    rots and tbs are aligned with a mountain range's columns."""
+    for k in range(depth + 1):
+        yield tbs[k], rots[depth - k : depth + k + 1 : 2]
 
 
 class MountainRange(_Record):
@@ -114,27 +155,20 @@ class MountainRange(_Record):
     __slots__ = ("knot", "peak", "depth")
 
     def __init__(self, knot: str, peak: tuple[Fraction, Fraction], depth: int):
-        if not isinstance(depth, int):
-            raise ValueError("depth must be an integer")
-        if depth < 0:
-            raise ValueError("depth must be non-negative")
         _set(self, "knot", knot)
         _set(self, "peak", peak)
-        _set(self, "depth", depth)
+        _set(self, "depth", _depth(depth))
 
     def columns(self) -> tuple[list[Fraction], list[Fraction]]:
         """The 2 depth + 1 rots, rot - depth .. rot + depth, and the tb of
         each row, tb .. tb - depth."""
-        (rot, tb), d = self.peak, self.depth
-        return [rot + r for r in range(-d, d + 1)], [tb - k for k in range(d + 1)]
+        return _columns(*self.peak, self.depth, 1)
 
     def rows(self, rots: list, tbs: list):
         """Yield (tbs[k], the entries of rots in row k) for k = 0..depth,
         where rots and tbs are the columns or lists aligned with them, such
         as their renderings."""
-        d = self.depth
-        for k in range(d + 1):
-            yield tbs[k], rots[d - k : d + k + 1 : 2]
+        return _rows(self.depth, rots, tbs)
 
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -142,10 +176,17 @@ class MountainRange(_Record):
         return tuple((r, tb) for tb, row in self.rows(*self.columns()) for r in row)
 
 
+def _peak(p: int, q: int, ts: ShuffleClass, knot: str) -> tuple[int, int]:
+    """p times the peak (rot_Q, tb_Q) of the oriented knot in ts."""
+    _require_structure_on(p, q, ts)
+    i, _ = _knot(knot)
+    return _rot(ts, knot), ts.decoration.peak_tb[i]
+
+
 def mountain_range(
     p: int, q: int, ts: ShuffleClass, knot: str = "k1", depth: int = 4
 ) -> MountainRange:
-    """Peak plus its stabilization cone down to the given depth."""
-    _require_structure_on(p, q, ts)
-    i, _ = _knot(knot)
-    return MountainRange(knot, (rot_q_farey(ts, knot), ts.decoration.peak_tb[i]), depth)
+    """Peak plus its stabilization cone down to the given depth: _peak
+    over p."""
+    rot, tb = _peak(p, q, ts, knot)
+    return MountainRange(knot, (_fraction(rot, p), _tb_fraction(tb, p)), depth)

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from lensknots import cli, surgery
 from lensknots.checks import lens_pairs
-from lensknots.cli import _OPTION, GRAMMAR, _arguments, _parse, _Usage, build_parser, main
+from lensknots.cli import GRAMMAR, _arguments, _is_option, _json, _parse, _Usage, build_parser, main
 from lensknots.slopes import Slope, _int
 from lensknots.tight import class_from_signs, enumerate_tight
 from lensknots.unknots import legendrian_classification, mountain_range
@@ -256,6 +257,32 @@ for _command, _option, _ in _long_options():
     KNOWN.setdefault(_command, set()).add(_option)
 
 
+# The spelling rule as the regular expression it was first written as, the
+# reference of cli._is_option.
+_OPTION = re.compile(r"-[A-Za-z]|--[A-Za-z][\w-]*(?:=.*)?", re.S)
+
+# Letters and digits in and out of ASCII, other word characters, the
+# characters of an option and of a value, and whitespace.
+_SPELLING = st.one_of(
+    st.sampled_from(list("aZk9_-=+/.,: \n\t") + ["\u00e9", "\u00b2", "\u0663", "\u2167", "\u01c5", "\u0301", "\uff21"]),
+    st.characters(),
+)
+
+
+@example("--a\n")
+@example("--a=\n")
+@example("-\u00e9")
+@example("--\u00e9x")
+@example("--x\u00b2_-y=1=2")
+@example("---x")
+@example("--")
+@example("-ab")
+@settings(max_examples=500)
+@given(st.builds("{}{}".format, st.sampled_from(["", "-", "--", "---"]), st.text(_SPELLING, max_size=6)))
+def test_option_spelling_matches_the_pattern(token):
+    assert _is_option(token) == (_OPTION.fullmatch(token) is not None)
+
+
 def _argparse_reads(argv):
     """argv spelled for argparse to read it by the spelling rule.  A value
     that starts with "-", and the "=" value of an option known where it
@@ -267,7 +294,7 @@ def _argparse_reads(argv):
     for token in argv:
         name, eq, value = token.partition("=")
         known = name in KNOWN.get(command, {"--help"})
-        if _OPTION.fullmatch(token) is None:
+        if _OPTION.fullmatch(token) is None:  # the rule as the walk reads it
             command = token if command is None else command
             read.append(" " + token if token.startswith("-") else token)
         elif eq and known and value.startswith("-"):
@@ -830,3 +857,64 @@ def test_readme_cli_examples_are_found():
     commands = [argv[0] for argv, _ in README_EXAMPLES]
     assert {"farey", "surgery", "unknots", "mountain-range", "mcg", "check"} <= set(commands)
     assert ["farey", "path", "-12/5", "0"] in [argv for argv, _ in README_EXAMPLES]
+
+
+# What the CLI writes as JSON: str keys, lists, tuples, str (any code point,
+# lone surrogates included), int, bool and None.
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)), max_size=6)
+_JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**30), 10**30), _JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@example({"a\x7f": ["\"\\\b\f\n\r\t\x00\x1f", "\U0001f600"], "": (True, False, None, -0)})
+@settings(max_examples=200)
+@given(_JSON_DOCS)
+def test_json_writer_writes_what_json_dumps_writes(doc):
+    assert _json(doc) == json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, Fraction(1, 2), {1: "a"}, {"a": {1}}, [b"x"], object()],
+    ids=["float", "fraction", "int-key", "set", "bytes", "object"],
+)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+def _json_calls():
+    """One call per JSON output kind, over small lens spaces."""
+    for p, q in lens_pairs(12):
+        yield ["farey", "path", f"-{p}/{q}", "0"]
+        yield ["tight-structures", str(p), str(q), "--list"]
+        yield ["unknots", str(p), str(q), "--format", "json"]
+        for knot in ("k1", "k2"):
+            chain = surgery.build_chain(p, q, knot)
+            yield ["surgery", str(p), str(q), "--knot", knot, "--format", "json"]
+            rots = ",".join(str(-r - 2) for r in chain.framings)
+            yield ["surgery", str(p), str(q), "--knot", knot, "--format", "json", f"--rots={rots}"]
+        signs = enumerate_tight(p, q)[-1].sign_string
+        for knot in surgery.ORIENTED_KNOTS:
+            yield ["mountain-range", str(p), str(q), f"--structure={signs}", f"--knot={knot}", "--format", "json"]
+    for p_max in range(2, 9):
+        yield ["check", "--pmax", str(p_max), "--format", "json"]
+
+
+def test_json_output_is_what_json_dumps_writes():
+    """Every JSON document a call writes, streamed or not, is json.dumps of
+    the value it parses to."""
+    calls = 0
+    for argv in _json_calls():
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out)) + "\n", argv
+        calls += 1
+    assert calls == 502

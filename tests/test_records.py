@@ -136,7 +136,7 @@ def test_reprs():
         "LegendrianClass(knot='k1', tb_q=Fraction(-2, 3), rot_q=Fraction(-1, 3), "
         "structure=ShuffleClass(decoration=Decoration(p=3, q=1, "
         "path=(Slope(-3), Slope(-2), Slope(-1), Slope(0)), blocks=(1,), steps=((1, 0),), "
-        "peak_tb=(Fraction(-2, 3), Fraction(-2, 3)), knots=('k1', '-k1')), plus_counts=(1,)))"
+        "peak_tb=(-2, -2), knots=('k1', '-k1')), plus_counts=(1,)))"
     )
 
 

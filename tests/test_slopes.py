@@ -16,6 +16,7 @@ from lensknots.slopes import (
     farey_mul,
     farey_sum,
     neg_cf,
+    _ratio,
 )
 
 def nonzero_slopes():
@@ -204,3 +205,13 @@ def test_dual_fraction_matches_matrix_identity():
         assert dual_fraction(p, q) == Slope(mp_, mq_)
         assert mp * mq_ - mp_ * mq == -1
         assert eval_neg_cf(list(reversed(coeffs))) == Slope(-mp, mp_)
+
+
+_NINETEEN_DIGITS = st.integers(-(10**19), 10**19)
+
+
+@given(_NINETEEN_DIGITS, _NINETEEN_DIGITS.filter(bool))
+def test_ratio_is_str_of_the_fraction(num, den):
+    """_ratio renders num/den from the integers as str(Fraction) does, for
+    a negative denominator as well as a positive one."""
+    assert _ratio(num, den) == str(Fraction(num, den))

@@ -59,20 +59,49 @@ def test_slope_has_one_classmethod_constructor():
 
 def test_library_calls_float_only_for_the_svg():
     """Every value is exact; the SVG's pixel coordinates in
-    cli.cmd_mountain are the one rounded output."""
+    cli.cmd_mountain are the one rounded output.  A float comes from a
+    float() call or a true division, and the SVG's are int true divisions,
+    rounded correctly as float() of the Fraction would be."""
     hits = []
     for path in sorted(Path(lensknots.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                    hits.append((path.stem, getattr(top, "name", None), "float"))
+                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    hits.append((path.stem, getattr(top, "name", None), "/"))
+    assert set(hits) == {("cli", "cmd_mountain", "/")}
+
+
+def test_fractions_is_imported_only_by_the_lazy_binder():
+    """fractions (which loads decimal, numbers and re) is imported at one
+    site in the library, inside slopes._fraction, which binds the class on
+    its first call; every other module builds its Fractions through it."""
+    hits = []
+    for path in sorted(Path(lensknots.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "fractions" for m in modules):
                     hits.append((path.stem, getattr(top, "name", None)))
-    assert set(hits) == {("cli", "cmd_mountain")}
+    assert hits == [("slopes", "_fraction")]
+
+
+# Loaded by fractions (decimal, numbers, re, and enum through re) or by json:
+# neither an import of the package nor a CLI call other than check loads them.
+_RATIONAL_MACHINERY = {"fractions", "decimal", "_decimal", "numbers", "re", "enum", "json"}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """A call loads no dataclasses or inspect, and argparse, with the shutil
     and locale (through gettext) that it pulls in, only for the help and
-    usage errors."""
+    usage errors.  No call but check loads fractions, json or what they
+    import, and check loads fractions only as it runs, never json."""
     src = str(Path(lensknots.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -95,6 +124,46 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code, out, loaded = child("farey", "-h")
     assert code == 0 and out.startswith("usage: lensknots farey [-h] {path} FROM TO\n")
     assert "argparse" in loaded
+    # One call of each subcommand of the benchmark's cli mix but check.
+    for argv in (
+        ["mcg", "7", "2"],
+        ["mcg", "8", "3", "--kernel"],
+        ["farey", "path", "-12/5", "0"],
+        ["bypass", "-5/2", "0", "--back"],
+        ["tight-structures", "12", "5", "--list"],
+        ["unknots", "12", "5"],
+        ["unknots", "12", "5", "--format", "json"],
+        ["surgery", "12", "5", "--format", "json", "--knot", "k2"],
+        ["surgery", "12", "5", "--rots", "-1,0,1"],
+        ["mountain-range", "12", "11", "--knot=-k1", "--depth", "3", "--format", "tsv"],
+        ["mountain-range", "12", "11", "--knot=k1", "--depth", "3", "--format", "json"],
+        ["mountain-range", "12", "11", "--knot=k1", "--depth", "3", "--format", "svg"],
+    ):
+        code, out, loaded = child(*argv)
+        assert code == 0 and out, argv
+        assert _RATIONAL_MACHINERY & loaded == set(), argv
+    code, out, loaded = child("check", "--pmax", "6", "--format", "json")
+    assert code == 0 and out.startswith('{"p_max": 6, ')
+    assert "json" not in loaded
+    # -X importtime lists imports, so fractions's shows that check builds Fractions.
+    assert "fractions" in loaded
+
+
+def test_package_import_loads_no_rational_machinery():
+    """Importing the package, which binds every public name of the library
+    down to checks, loads neither fractions nor json nor what they load."""
+    src = str(Path(lensknots.__file__).parent.parent)
+    code = "import sys, lensknots; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "lensknots.cli" not in loaded and "lensknots.checks" in loaded
+    assert _RATIONAL_MACHINERY & loaded == set()
 
 
 def _names_reached(module, entry):
@@ -189,8 +258,38 @@ def test_rationals_are_built_only_at_the_return():
     reached = _names_reached(surgery, "rot_q_surgery")
     assert "_cramer" in reached
     assert {"solve_exact", "lcm"} & reached == set()
-    assert "Fraction" in vars(slopes)
-    assert "Fraction" not in _names_reached(slopes, "eval_neg_cf")
+    assert "_fraction" in vars(slopes)
+    assert {"Fraction", "_fraction"} & _names_reached(slopes, "eval_neg_cf") == set()
+
+
+def test_each_rational_has_one_integer_form():
+    """Each public Fraction function divides its private integer form once,
+    at its return, and the CLI renders the integer forms: it reaches none
+    of the Fraction functions."""
+    wraps = {
+        unknots: {
+            "rot_q_farey": "_rot",
+            "legendrian_classification": "_classification",
+            "mountain_range": "_peak",
+        },
+        surgery: {"rot_q_surgery": "_rot_sums", "rot_spectrum": "_spectrum"},
+    }
+    for module, pairs in wraps.items():
+        for public, private in pairs.items():
+            assert {private, "_fraction"} <= _names_reached(module, public), public
+            assert "_fraction" not in _names_reached(module, private), private
+    # The peak tb is divided through _tb_fraction, _fraction with a cache.
+    assert unknots._tb_fraction.__wrapped__ is slopes._fraction
+    assert {"peak_tb", "_tb_fraction"} <= _names_reached(unknots, "tb_q_peak")
+    assert "_fraction" not in _names_reached(tight, "peak_tb")
+    fraction_functions = {"tb_q_peak", *(name for pairs in wraps.values() for name in pairs)}
+    for command in ("cmd_surgery", "cmd_unknots", "cmd_mountain"):
+        reached = _names_reached(cli, command)
+        assert "_ratio" in reached, command
+        assert fraction_functions & reached == set(), command
+    assert {"_classification", "sl_q"} <= _names_reached(cli, "cmd_unknots")
+    assert {"_peak", "_columns", "_rows", "_depth"} <= _names_reached(cli, "cmd_mountain")
+    assert {"_rot_sums", "_spectrum"} <= _names_reached(cli, "cmd_surgery")
 
 
 def test_surgery_reads_its_spectrum_off_one_chain():

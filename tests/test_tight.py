@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lensknots import tight
 from lensknots.checks import block_partition, lens_pairs
 from lensknots.farey import geodesic
 from lensknots.slopes import ZERO, Slope
@@ -132,6 +133,22 @@ class TestClassFromSigns:
         with pytest.raises(ValueError, match=re.escape(message)):
             class_from_signs(p, q, signs)
         assert time.perf_counter() - t0 < 1
+
+    def test_the_chain_is_expanded_once(self, monkeypatch):
+        # The sign count and the path walk read one expansion of -p/q.
+        calls = []
+        real = tight.neg_cf
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        classes = [(p, q, ts.sign_string) for p, q in lens_pairs(12) for ts in enumerate_tight(p, q)]
+        monkeypatch.setattr(tight, "neg_cf", counted)
+        for p, q, signs in classes:
+            calls.clear()
+            class_from_signs(p, q, signs)
+            assert calls == [Slope(-p, q)], (p, q, signs)
 
     def test_bad_pair_is_refused_before_the_signs(self):
         with pytest.raises(ValueError, match=re.escape("need coprime p > q > 0, got (4, 2)")):
