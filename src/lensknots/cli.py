@@ -5,11 +5,13 @@ Every value in tsv and json output is an exact fraction rendered as a
 to the identical values; SVG pixel coordinates are the one rounded output.
 
 A call builds no Fraction: each rational it prints is an integer over p or
-over det M, read off the library's private integer forms and rendered by
-slopes._ratio, and JSON is written by _json, with json.dumps's bytes.  So
-a call loads neither fractions (with the decimal, numbers and re it
-imports) nor json, and reads its options without re; only check, whose
-families compare the public Fraction values, loads fractions as it runs.
+over det M, read off the library's private integer forms (unknots._peaks,
+surgery._rot_sums and _spectrum) and rendered by slopes._ratio.  JSON is
+written by _json with json.dumps's bytes, for strings of printable ASCII
+without '"' or '\\', the form of every string the CLI writes.  So a call
+loads neither fractions (with the decimal, numbers and re it imports) nor
+json, and reads its options without re; only check, whose families
+compare the public Fraction values, loads fractions as it runs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .checks import check_sweep
 from .farey import _geodesic
 from .slopes import Slope, _int, _ratio
 from .tight import class_from_signs, count_tight_lens, enumerate_tight
-from .unknots import _classification, _columns, _depth, _peak, _rows, sl_q
+from .unknots import _columns, _depth, _peaks, _rows, sl_q
 
 _MCG_TABLES = {
     "smooth": mcg_mod.smooth_mcg,
@@ -41,14 +43,10 @@ def _group_str(g) -> str:
     return f"{g.tag} [{' '.join(g.generators)}]"
 
 
-# The two-character escapes of json.dumps; every other character outside
-# printable ASCII becomes \uXXXX, a surrogate pair above U+FFFF.
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
 def _json(value) -> str:
     """json.dumps(value) for the values the CLI writes: dicts with str keys,
-    lists, tuples, str, int, bool and None; any other value raises
+    lists, tuples, int, bool, None and str that is printable ASCII without
+    '"' or '\\', which json.dumps writes unescaped; any other value raises
     TypeError."""
     if value is None:
         return "null"
@@ -59,24 +57,11 @@ def _json(value) -> str:
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
-        return '"' + "".join(map(_json_char, value)) + '"'
-    if isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_json, value)) + "]"
-    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
         return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not written as JSON")
-
-
-def _json_char(ch: str) -> str:
-    if ch in _ESCAPES:
-        return _ESCAPES[ch]
-    if " " <= ch <= "~":
-        return ch
-    n = ord(ch)
-    if n > 0xFFFF:
-        n -= 0x10000
-        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-    return f"\\u{n:04x}"
 
 
 _BATCH = 1 << 16  # characters joined per write: a write costs more than a few-byte chunk
@@ -149,11 +134,13 @@ def cmd_surgery(args) -> int:
 def cmd_unknots(args) -> int:
     p, q, signs = args.p, args.q, args.structure
     columns = ("structure", "knot", "tb_q", "rot_q", "sl_q")
+    classes = enumerate_tight(p, q) if signs is None else [class_from_signs(p, q, signs)]
     # tb, rot and sl are integers over p, and sl_q is linear.
     rows = (
         (ts.sign_string, knot, _ratio(tb, p), _ratio(rot, p), _ratio(sl_q(tb, rot), p))
-        for ts in (enumerate_tight(p, q) if signs is None else [class_from_signs(p, q, signs)])
-        for knot, tb, rot in _classification(p, q, ts)
+        for ts, peaks in zip(classes, map(_peaks, classes))
+        for knot in ts.decoration.knots
+        for rot, tb in [peaks[knot]]
     )
     if args.format == "json":
         _write("[", (_json(dict(zip(columns, row))) for row in rows), ", ", "]\n")
@@ -169,7 +156,7 @@ def cmd_mountain(args) -> int:
     ts = class_from_signs(p, args.q, args.structure or "")
     # unknots.mountain_range over p: the peak, the columns and the rows are
     # integers over p, one stabilization a step of p.
-    (rot, tb), depth = _peak(p, args.q, ts, args.knot), _depth(args.depth)
+    (rot, tb), depth = _peaks(ts)[args.knot], _depth(args.depth)
     rots, tbs = _columns(rot, tb, depth, p)
     # Each rot and tb is rendered once: the point (rots[i], tbs[k]) reads
     # cells[i] + ends[k], and the points are joined by sep.

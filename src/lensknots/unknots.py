@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 
 from .slopes import _fraction, _Record, _set
-from .surgery import _knot
+from .surgery import ORIENTED_KNOTS, _knot
 from .tight import ShuffleClass, peak_tb
 
 
@@ -52,17 +52,24 @@ def _block_sums(ts: ShuffleClass) -> tuple[int, int]:
     return -snum * d.q - sden * d.p, -snum
 
 
-def _rot(ts: ShuffleClass, knot: str) -> int:
-    """p times rot_q_farey(ts, knot)."""
-    i, sign = _knot(knot)
-    return sign * _block_sums(ts)[i]
+def _peaks(ts: ShuffleClass) -> dict[str, tuple[int, int]]:
+    """p times the peak (rot_Q, tb_Q) of each oriented knot name in the
+    structure, from one _block_sums pass and the decoration's peak tb; a
+    reversed knot shares the tb of its core and negates its rot."""
+    sums, tbs = _block_sums(ts), ts.decoration.peak_tb
+    peaks = {}
+    for knot in ORIENTED_KNOTS:
+        i, sign = _knot(knot)
+        peaks[knot] = sign * sums[i], tbs[i]
+    return peaks
 
 
 def rot_q_farey(ts: ShuffleClass, knot: str = "k1") -> Fraction:
     """Rational rotation number of the peak Legendrian representative, as a
     signed sum over the shuffle blocks of the structure's Farey path;
     reversing the orientation negates it."""
-    return _fraction(_rot(ts, knot), ts.decoration.p)
+    _knot(knot)  # a bad name raises ValueError, not the lookup's error
+    return _fraction(_peaks(ts)[knot][0], ts.decoration.p)
 
 
 def sl_q(tb_q: Fraction, rot_q: Fraction) -> Fraction:
@@ -94,26 +101,16 @@ def stabilize(c: LegendrianClass, sign: str) -> LegendrianClass:
     return LegendrianClass(c.knot, c.tb_q - 1, c.rot_q + shift, c.structure)
 
 
-def _classification(p: int, q: int, ts: ShuffleClass) -> list[tuple[str, int, int]]:
-    """(knot, p tb_Q, p rot_Q) of the peak of each oriented rational unknot
-    of L(p,q) (the decoration's knots) in the given tight structure.
-
-    The block sums run once per structure; a reversed knot shares the tb
-    of its core and negates its rot."""
-    _require_structure_on(p, q, ts)
-    sums, d = _block_sums(ts), ts.decoration
-    out = []
-    for knot in d.knots:
-        i, sign = _knot(knot)
-        out.append((knot, d.peak_tb[i], sign * sums[i]))
-    return out
-
-
 def legendrian_classification(p: int, q: int, ts: ShuffleClass) -> list[LegendrianClass]:
     """Peak Legendrian representatives in the given tight structure, one per
-    oriented rational unknot of L(p,q): _classification's rows over p."""
-    rows = _classification(p, q, ts)
-    return [LegendrianClass(knot, _tb_fraction(tb, p), _fraction(rot, p), ts) for knot, tb, rot in rows]
+    oriented rational unknot of L(p,q) (the decoration's knots): _peaks
+    over p."""
+    _require_structure_on(p, q, ts)
+    peaks, out = _peaks(ts), []
+    for knot in ts.decoration.knots:
+        rot, tb = peaks[knot]
+        out.append(LegendrianClass(knot, _tb_fraction(tb, p), _fraction(rot, p), ts))
+    return out
 
 
 def transverse_classification(p: int, q: int, ts: ShuffleClass) -> list[Fraction]:
@@ -176,17 +173,12 @@ class MountainRange(_Record):
         return tuple((r, tb) for tb, row in self.rows(*self.columns()) for r in row)
 
 
-def _peak(p: int, q: int, ts: ShuffleClass, knot: str) -> tuple[int, int]:
-    """p times the peak (rot_Q, tb_Q) of the oriented knot in ts."""
-    _require_structure_on(p, q, ts)
-    i, _ = _knot(knot)
-    return _rot(ts, knot), ts.decoration.peak_tb[i]
-
-
 def mountain_range(
     p: int, q: int, ts: ShuffleClass, knot: str = "k1", depth: int = 4
 ) -> MountainRange:
-    """Peak plus its stabilization cone down to the given depth: _peak
-    over p."""
-    rot, tb = _peak(p, q, ts, knot)
+    """Peak plus its stabilization cone down to the given depth: the knot's
+    _peaks entry over p."""
+    _require_structure_on(p, q, ts)
+    _knot(knot)  # a bad name raises ValueError, not the lookup's error
+    rot, tb = _peaks(ts)[knot]
     return MountainRange(knot, (_fraction(rot, p), _tb_fraction(tb, p)), depth)

@@ -487,6 +487,10 @@ def _per_point_rendering(mr, fmt):
         pytest.param(2, 1, "", "k1", 12, id="2-1--k1"),
         pytest.param(3, 1, "-", "-k1", 300, id="3-1---k1-depth-300"),
         pytest.param(5, 2, "+", "k2", 0, id="5-2-+-k2-depth-0"),
+        # Names the decoration merges into k1 or -k1.
+        pytest.param(2, 1, "", "-k2", 3, id="2-1---k2"),
+        pytest.param(7, 1, "++---", "k2", 6, id="7-1-++----k2"),
+        pytest.param(7, 6, "", "-k2", 1, id="7-6---k2"),
     ],
 )
 def test_mountain_range_output_matches_per_point_rendering(fmt, p, q, signs, knot, depth):
@@ -859,9 +863,13 @@ def test_readme_cli_examples_are_found():
     assert ["farey", "path", "-12/5", "0"] in [argv for argv, _ in README_EXAMPLES]
 
 
-# What the CLI writes as JSON: str keys, lists, tuples, str (any code point,
-# lone surrogates included), int, bool and None.
-_JSON_TEXT = st.text(st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)), max_size=6)
+# What _json is given: str keys, lists, tuples, str (any code point, lone
+# surrogates included, or printable ASCII only, so that whole documents in
+# the unescaped alphabet are drawn often), int, bool and None.
+_JSON_TEXT = st.one_of(
+    st.text(st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)), max_size=6),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6),
+)
 _JSON_DOCS = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-(10**30), 10**30), _JSON_TEXT),
     lambda inner: st.one_of(
@@ -873,17 +881,43 @@ _JSON_DOCS = st.recursive(
 )
 
 
+def _strings(doc):
+    """Every string in the document, dict keys included."""
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, (list, tuple)):
+        for value in doc:
+            yield from _strings(value)
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _strings(value)
+
+
+def _unescaped(text):
+    """Whether json.dumps writes the string as it is: printable ASCII
+    (space to "~") without a quote or a backslash."""
+    return all(" " <= ch <= "~" and ch not in '"\\' for ch in text)
+
+
+@example({"a b~": ["0/1", "-12/5", "+-", "L(5,2) k1 tb"], "": (True, False, None, -0)})
 @example({"a\x7f": ["\"\\\b\f\n\r\t\x00\x1f", "\U0001f600"], "": (True, False, None, -0)})
 @settings(max_examples=200)
 @given(_JSON_DOCS)
 def test_json_writer_writes_what_json_dumps_writes(doc):
-    assert _json(doc) == json.dumps(doc)
+    """_json writes json.dumps's bytes when every string of the document is
+    one json.dumps writes unescaped, and refuses the document otherwise."""
+    if all(map(_unescaped, _strings(doc))):
+        assert _json(doc) == json.dumps(doc)
+    else:
+        with pytest.raises(TypeError):
+            _json(doc)
 
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, Fraction(1, 2), {1: "a"}, {"a": {1}}, [b"x"], object()],
-    ids=["float", "fraction", "int-key", "set", "bytes", "object"],
+    [1.5, Fraction(1, 2), {1: "a"}, {"a": {1}}, [b"x"], object(), ['a"b'], {"k": "\u00e9"}],
+    ids=["float", "fraction", "int-key", "set", "bytes", "object", "quote", "non-ascii"],
 )
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):

@@ -265,12 +265,14 @@ def test_rationals_are_built_only_at_the_return():
 def test_each_rational_has_one_integer_form():
     """Each public Fraction function divides its private integer form once,
     at its return, and the CLI renders the integer forms: it reaches none
-    of the Fraction functions."""
+    of the Fraction functions.  A structure's peaks have one integer form,
+    unknots._peaks, which every peak function and the CLI read; unknots
+    binds no second route to them."""
     wraps = {
         unknots: {
-            "rot_q_farey": "_rot",
-            "legendrian_classification": "_classification",
-            "mountain_range": "_peak",
+            "rot_q_farey": "_peaks",
+            "legendrian_classification": "_peaks",
+            "mountain_range": "_peaks",
         },
         surgery: {"rot_q_surgery": "_rot_sums", "rot_spectrum": "_spectrum"},
     }
@@ -278,6 +280,7 @@ def test_each_rational_has_one_integer_form():
         for public, private in pairs.items():
             assert {private, "_fraction"} <= _names_reached(module, public), public
             assert "_fraction" not in _names_reached(module, private), private
+    assert {"_rot", "_classification", "_peak"} & vars(unknots).keys() == set()
     # The peak tb is divided through _tb_fraction, _fraction with a cache.
     assert unknots._tb_fraction.__wrapped__ is slopes._fraction
     assert {"peak_tb", "_tb_fraction"} <= _names_reached(unknots, "tb_q_peak")
@@ -287,8 +290,8 @@ def test_each_rational_has_one_integer_form():
         reached = _names_reached(cli, command)
         assert "_ratio" in reached, command
         assert fraction_functions & reached == set(), command
-    assert {"_classification", "sl_q"} <= _names_reached(cli, "cmd_unknots")
-    assert {"_peak", "_columns", "_rows", "_depth"} <= _names_reached(cli, "cmd_mountain")
+    assert {"_peaks", "sl_q"} <= _names_reached(cli, "cmd_unknots")
+    assert {"_peaks", "_columns", "_rows", "_depth"} <= _names_reached(cli, "cmd_mountain")
     assert {"_rot_sums", "_spectrum"} <= _names_reached(cli, "cmd_surgery")
 
 
