@@ -14,7 +14,7 @@ import time
 from .farey import bfs_oracle, geodesic
 from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg
 from .slopes import Slope, _fraction, _Record, _set, cf_matrix_identity, farey_mul
-from .surgery import KNOTS, _knot, build_chain, det_bareiss, linking_det, linking_matrix, rot_q_surgery
+from .surgery import KNOTS, _knot, _rot_sums, build_chain, det_bareiss, linking_det, linking_matrix
 from .tight import (
     ShuffleClass,
     count_tight_lens,
@@ -22,7 +22,7 @@ from .tight import (
     is_universally_tight,
     standard_structures,
 )
-from .unknots import rot_q_farey
+from .unknots import _peaks
 
 
 class CheckResult(_Record):
@@ -81,10 +81,12 @@ def _check(name, outcomes, cases=0, seconds=0.0):
 
 def _lens_space(p, q, classes):
     """One lens space's entry of a check_sweep batch: (p, q), its tight
-    structures, the Farey rot_Q of each for k1 and for k2, and the chain
-    of each knot."""
-    rots = tuple([rot_q_farey(ts, knot) for ts in classes] for knot in KNOTS)
-    return p, q, classes, rots, tuple(build_chain(p, q, knot) for knot in KNOTS)
+    structures, the Farey peaks of each (unknots._peaks: p times rot_Q and
+    tb_Q of all four oriented knots, read once per structure), and the
+    chain of each knot.  Every family compares these integers; none builds
+    a Fraction."""
+    peaks = [_peaks(ts) for ts in classes]
+    return p, q, classes, peaks, tuple(build_chain(p, q, knot) for knot in KNOTS)
 
 
 def check_sweep(p_max: int) -> SweepReport:
@@ -126,7 +128,7 @@ def _geodesic_failures(batch):
 
 
 def _rot_failures(batch):
-    for p, q, classes, rots, chains in batch:
+    for p, q, classes, peaks, chains in batch:
         framings = chains[0].framings
         # The shuffle blocks, in path order, sit on the components framed
         # r_i <= -3 in reverse chain order: a block with c plus signs has
@@ -143,10 +145,21 @@ def _rot_failures(batch):
         # det M, a continuant of the chain: (q - p)/p for k1, (p' - p)/p for k2, in integers;
         # the decoration holds p tb_Q.
         cp, cp_, cq, _ = cf_matrix_identity(framings)
-        peaks = zip(classes[0].decoration.peak_tb, (cq, cp_))
-        for knot, chain, farey_side, (tb, end) in zip(KNOTS, chains, rots, peaks):
-            if not (fits and rot_q_surgery(chain, vectors) == farey_side):
+        tbs = zip(classes[0].decoration.peak_tb, (cq, cp_))
+        for knot, chain, (tb, end) in zip(KNOTS, chains, tbs):
+            if not fits:
                 yield f"L({p},{q}) {knot}"
+                continue
+            reverse = f"-{knot}"
+            # det M rot_Q from the chain against p rot_Q from the Farey
+            # side: equal rationals when s p == r d.
+            sums, d = _rot_sums(chain, vectors)
+            farey = [ts_peaks[knot] for ts_peaks in peaks]
+            if [s * p for s in sums] != [r * d for r, _ in farey]:
+                yield f"L({p},{q}) {knot}"
+            # the reversed core keeps the tb and negates the rot
+            elif [ts_peaks[reverse] for ts_peaks in peaks] != [(-r, t) for r, t in farey]:
+                yield f"L({p},{q}) {reverse}"
             else:
                 yield None if tb * cp == (end - cp) * p else f"L({p},{q}) {knot} tb"
 
@@ -202,17 +215,17 @@ def rot_q_edges(ts: ShuffleClass, knot: str = "k1") -> Fraction:
 
 
 def _block_failures(batch):
-    for p, q, classes, rots, _ in batch:
+    for p, q, classes, peaks, _ in batch:
         path = classes[0].path
         # the shuffle criterion, against the decoration's runs
         runs = tuple(block_partition(path)) == classes[0].blocks
         yield None if runs else f"L({p},{q}) shuffle blocks"
         weights = _edge_weights(path)
-        for i, (ts, class_rots) in enumerate(zip(classes, zip(*rots))):
+        for i, (ts, ts_peaks) in enumerate(zip(classes, peaks)):
             signs = ts.sign_string
-            for knot, rot, knot_weights in zip(KNOTS, class_rots, weights):
-                # rot == total / p, in integers
-                if rot.numerator * p != _edge_total(signs, knot_weights) * rot.denominator:
+            for knot, knot_weights in zip(KNOTS, weights):
+                # both sides are p rot_Q
+                if ts_peaks[knot][0] != _edge_total(signs, knot_weights):
                     yield f"L({p},{q}) class {i} {knot}"
                 else:
                     yield None
@@ -227,7 +240,7 @@ def _det_failures(batch):
 
 
 def _mcg_failures(batch):
-    for p, q, classes, rots, _ in batch:
+    for p, q, classes, peaks, _ in batch:
         c, s = contact_mcg(p, q), smooth_mcg(p, q)
         if s.order % c.order != 0:
             yield f"L({p},{q}) order divisibility"
@@ -245,7 +258,8 @@ def _mcg_failures(batch):
             # structure: k2 is k1 where they merge, and a lone k1 has rot 0.
             tb1, tb2 = d.peak_tb
             yield None if tb1 == tb2 else f"L({p},{q}) merged unknots with different peak tb"
-            for i, (rot1, rot2) in enumerate(zip(*rots)):
+            for i, ts_peaks in enumerate(peaks):
+                rot1, rot2 = ts_peaks["k1"][0], ts_peaks["k2"][0]
                 if rot1 != rot2 or (n == 1 and rot1 != 0):
                     yield f"L({p},{q}) class {i} merged unknots with different peak rot"
                 else:

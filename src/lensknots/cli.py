@@ -6,12 +6,12 @@ to the identical values; SVG pixel coordinates are the one rounded output.
 
 A call builds no Fraction: each rational it prints is an integer over p or
 over det M, read off the library's private integer forms (unknots._peaks,
-surgery._rot_sums and _spectrum) and rendered by slopes._ratio.  JSON is
-written by _json with json.dumps's bytes, for strings of printable ASCII
-without '"' or '\\', the form of every string the CLI writes.  So a call
-loads neither fractions (with the decimal, numbers and re it imports) nor
-json, and reads its options without re; only check, whose families
-compare the public Fraction values, loads fractions as it runs.
+surgery._rot_sums and _spectrum) and rendered by slopes._ratio, and check's
+families compare those integers too.  JSON is written by _json with
+json.dumps's bytes, for strings of printable ASCII without '"' or '\\',
+the form of every string the CLI writes.  So no call, check included,
+loads fractions (with the decimal, numbers and re it imports) or json,
+and each reads its options without re.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
+import itertools
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from lensknots import checks, tight
+from lensknots import checks, surgery, tight
 from lensknots.checks import check_sweep, lens_pairs
 from lensknots.farey import bfs_oracle
 from lensknots.mcg import GroupDescription, unknot_classes
 from lensknots.slopes import farey_sum
+from lensknots.surgery import KNOTS, ORIENTED_KNOTS, rot_q_surgery
+from lensknots.unknots import rot_q_farey
 
 
 def test_lens_pairs():
@@ -72,8 +74,8 @@ def test_sweep_runs_one_p_at_a_time(monkeypatch):
 
 
 def test_sweep_derives_each_rotation_and_chain_once(monkeypatch):
-    # The families share each class's Farey rot_Q for k1 and k2, and each
-    # knot's chain.
+    # The families share each class's Farey peaks, read in one _peaks pass
+    # per structure, and each knot's chain.
     calls = Counter()
 
     def count(name):
@@ -85,13 +87,28 @@ def test_sweep_derives_each_rotation_and_chain_once(monkeypatch):
 
         monkeypatch.setattr(checks, name, counted)
 
-    count("rot_q_farey")
+    count("_peaks")
     count("build_chain")
     assert check_sweep(12).passed
     pairs = list(lens_pairs(12))
     classes = sum(checks.count_tight_lens(p, q) for p, q in pairs)
     assert (len(pairs), classes) == (45, 151)
-    assert calls == {"rot_q_farey": 2 * classes, "build_chain": 2 * len(pairs)}
+    assert calls == {"_peaks": classes, "build_chain": 2 * len(pairs)}
+
+
+def test_public_rationals_are_what_check_compares():
+    # check compares the integer forms, p rot_Q from _peaks and det M rot_Q
+    # from _rot_sums; the Fraction functions it no longer calls divide them.
+    for p, q in lens_pairs(30):
+        for ts in checks.enumerate_tight(p, q):
+            peaks = checks._peaks(ts)
+            for knot in ORIENTED_KNOTS:
+                assert rot_q_farey(ts, knot) * p == peaks[knot][0], (p, q, knot)
+        for knot in KNOTS:
+            chain = checks.build_chain(p, q, knot)
+            vectors = list(itertools.product(*map(surgery._rots, chain.framings)))
+            sums, d = surgery._rot_sums(chain, vectors)
+            assert [r * d for r in rot_q_surgery(chain, vectors)] == sums, (p, q, knot)
 
 
 def test_sweep_rejects_tiny_bound():
@@ -108,8 +125,22 @@ def _failures(p_max):
     return {c.name: c.counterexample for c in check_sweep(p_max).checks if not c.passed}
 
 
+def _with_rots(change):
+    """checks._peaks with each knot's p rot_Q replaced by change(ts, knot, rot)."""
+    peaks = checks._peaks
+
+    def changed(ts):
+        return {knot: (change(ts, knot, rot), tb) for knot, (rot, tb) in peaks(ts).items()}
+
+    return changed
+
+
+def _negated_k2(ts, knot, rot):
+    return -rot if knot == "k2" else rot
+
+
 def test_block_family_catches_a_wrong_block_sum(monkeypatch):
-    monkeypatch.setattr(checks, "rot_q_farey", lambda ts, knot="k1": Fraction(0))
+    monkeypatch.setattr(checks, "_peaks", _with_rots(lambda ts, knot, rot: 0))
     assert _failures(6) == {
         "rotation numbers: Farey vs surgery": "L(3,1) k1",
         "rotation numbers: blocks vs edges": "L(3,1) class 0 k1",
@@ -203,13 +234,9 @@ def test_mcg_family_catches_sigma_without_q_squared_one(monkeypatch):
 
 def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):
     # A merged k2 must have the rot of k1 in every class; shifting its rot
-    # by 1 breaks that first on L(2,1).
-    rot_q_farey = checks.rot_q_farey
-
-    def shifted_k2(ts, knot="k1"):
-        return rot_q_farey(ts, knot) + (knot == "k2")
-
-    monkeypatch.setattr(checks, "rot_q_farey", shifted_k2)
+    # by 1, p in the p rot_Q that _peaks gives, breaks that first on L(2,1).
+    shifted_k2 = _with_rots(lambda ts, knot, rot: rot + ts.p * (knot == "k2"))
+    monkeypatch.setattr(checks, "_peaks", shifted_k2)
     failures = _failures(6)
     assert failures["MCG divisibility and iso criterion"] == (
         "L(2,1) class 0 merged unknots with different peak rot"
@@ -221,12 +248,7 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
     # Negating k2's rot keeps |rot(k2)| = |rot(k1)| in every merged class,
     # so a clause on |rot| passes it; the clause on rot fails it first on
     # L(3,1), where k1 and k2 merge and the classes have rot +-1/3.
-    rot_q_farey = checks.rot_q_farey
-
-    def negated_k2(ts, knot="k1"):
-        rot = rot_q_farey(ts, knot)
-        return -rot if knot == "k2" else rot
-
+    negated_k2 = _with_rots(_negated_k2)
     tight = {(p, q): checks.enumerate_tight(p, q) for p, q in lens_pairs(8)}
     merged = [
         ts
@@ -234,9 +256,11 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
         if len(unknot_classes(p, q)) < 4
         for ts in classes
     ]
-    assert all(abs(negated_k2(ts, "k1")) == abs(negated_k2(ts, "k2")) for ts in merged)
+    for ts in merged:
+        peaks = negated_k2(ts)
+        assert abs(peaks["k1"][0]) == abs(peaks["k2"][0])
     assert checks._check("mcg", checks._mcg_failures(_batch(tight))).passed
-    monkeypatch.setattr(checks, "rot_q_farey", negated_k2)
+    monkeypatch.setattr(checks, "_peaks", negated_k2)
     result = checks._check("mcg", checks._mcg_failures(_batch(tight)))
     assert result.counterexample == "L(3,1) class 0 merged unknots with different peak rot"
 
@@ -246,18 +270,11 @@ def test_rot_family_compares_class_by_class(monkeypatch):
     # admissible rotation vectors make symmetric under negation, so only a
     # class-by-class comparison sees it; L(2,1) has rot 0, and L(3,1) is
     # the first with rot +-1/3.
-    rot_q_farey = checks.rot_q_farey
-
-    def negated_k2(ts, knot="k1"):
-        rot = rot_q_farey(ts, knot)
-        return -rot if knot == "k2" else rot
-
+    peaks, negated_k2 = checks._peaks, _with_rots(_negated_k2)
     tight = {(p, q): checks.enumerate_tight(p, q) for p, q in lens_pairs(6)}
     for classes in tight.values():
-        assert sorted(rot_q_farey(ts, "k2") for ts in classes) == sorted(
-            negated_k2(ts, "k2") for ts in classes
-        )
-    monkeypatch.setattr(checks, "rot_q_farey", negated_k2)
+        assert sorted(peaks(ts)["k2"] for ts in classes) == sorted(negated_k2(ts)["k2"] for ts in classes)
+    monkeypatch.setattr(checks, "_peaks", negated_k2)
     result = checks._check("rot", checks._rot_failures(_batch(tight)))
     assert (result.counterexample, result.cases) == ("L(3,1) k2", 4)
 

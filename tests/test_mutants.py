@@ -49,12 +49,16 @@ def _numerator_plus_one(dual_fraction):
     return dual
 
 
-def _negated_k2(rot_q_farey):
-    def rot(ts, knot="k1"):
-        value = rot_q_farey(ts, knot)
-        return -value if knot == "k2" else value
+def _negated_k2(peaks):
+    # The Farey rot_Q of k2, and with it of -k2, negated.
+    def peaks_of(ts):
+        out = peaks(ts)
+        for knot in ("k2", "-k2"):
+            rot, tb = out[knot]
+            out[knot] = -rot, tb
+        return out
 
-    return rot
+    return peaks_of
 
 
 def _reversed_k1_keeps_rot(peaks):
@@ -120,7 +124,7 @@ MUTANTS = [
         id="unknot_classes keeps two of four knots",
     ),
     pytest.param(
-        ("checks.rot_q_farey",),
+        ("checks._peaks",),
         _negated_k2,
         FAREY_VS_SURGERY,
         "L(3,1) k2",
@@ -163,14 +167,13 @@ MUTANTS = [
         id="_block_sums swaps k1 and k2",
     ),
     # unknots._peaks is the one source of every peak the library and the CLI
-    # give; check compares k1 and k2 with the surgery side, never -k1 or -k2.
+    # give, and check reads it as checks._peaks; L(2,1) has rot 0.
     pytest.param(
-        ("unknots._peaks",),
+        ("unknots._peaks", "checks._peaks"),
         _reversed_k1_keeps_rot,
-        None,
-        None,
+        FAREY_VS_SURGERY,
+        "L(3,1) -k1",
         id="_peaks gives -k1 the rot of k1",
-        marks=pytest.mark.xfail(strict=True, reason="no check family compares reversed orientations"),
     ),
     pytest.param(
         ("surgery.neg_cf",),

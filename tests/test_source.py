@@ -93,15 +93,15 @@ def test_fractions_is_imported_only_by_the_lazy_binder():
 
 
 # Loaded by fractions (decimal, numbers, re, and enum through re) or by json:
-# neither an import of the package nor a CLI call other than check loads them.
+# neither an import of the package nor any CLI call loads them.
 _RATIONAL_MACHINERY = {"fractions", "decimal", "_decimal", "numbers", "re", "enum", "json"}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """A call loads no dataclasses or inspect, and argparse, with the shutil
     and locale (through gettext) that it pulls in, only for the help and
-    usage errors.  No call but check loads fractions, json or what they
-    import, and check loads fractions only as it runs, never json."""
+    usage errors.  No call, check included, loads fractions, json or what
+    they import."""
     src = str(Path(lensknots.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -142,11 +142,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         code, out, loaded = child(*argv)
         assert code == 0 and out, argv
         assert _RATIONAL_MACHINERY & loaded == set(), argv
+    # -X importtime lists every import, so a Fraction built on the sweep shows.
     code, out, loaded = child("check", "--pmax", "6", "--format", "json")
     assert code == 0 and out.startswith('{"p_max": 6, ')
-    assert "json" not in loaded
-    # -X importtime lists imports, so fractions's shows that check builds Fractions.
-    assert "fractions" in loaded
+    assert _RATIONAL_MACHINERY & loaded == set()
 
 
 def test_package_import_loads_no_rational_machinery():
@@ -221,7 +220,7 @@ def test_oracles_stay_independent():
     assert {"_block_sums", "steps", "rot_q_farey"} & reached == set()
     # _lens_space builds the batch that _rot_failures reads.
     reached = _names_reached(checks, "_rot_failures") | _names_reached(checks, "_lens_space")
-    assert {"rot_q_farey", "build_chain", "chains"} <= reached
+    assert {"_peaks", "build_chain", "chains"} <= reached
     assert {"steps", "_block_sums", "_edge_weights", "path"} & reached == set()
 
 
@@ -235,6 +234,21 @@ def test_check_reads_the_unknots_off_the_decoration():
     assert {"decoration", "knots", "peak_tb"} <= reached
     assert second & reached == set()
     assert second & vars(checks).keys() == set()
+
+
+def test_check_compares_integers():
+    """check's families compare the integer forms unknots._peaks and
+    surgery._rot_sums; checks binds neither Fraction function over them,
+    and no family, nor the sweep that builds their batch, reaches
+    _fraction, so a Fraction cannot come back onto the sweep."""
+    public = {"rot_q_farey", "rot_q_surgery"}
+    assert "rot_q_farey" in vars(unknots) and "rot_q_surgery" in vars(surgery)
+    assert public & vars(checks).keys() == set()
+    assert "_peaks" in _names_reached(checks, "_lens_space")
+    assert "_rot_sums" in _names_reached(checks, "_rot_failures")
+    families = [family.__name__ for _, family in checks._FAMILIES]
+    for entry in ("check_sweep", "_lens_space", *families):
+        assert {"_fraction", "Fraction"} & _names_reached(checks, entry) == set(), entry
 
 
 def test_linking_matrix_has_one_row_builder():
