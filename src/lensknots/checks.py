@@ -12,9 +12,9 @@ import math
 import time
 
 from .farey import bfs_oracle, geodesic
-from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg
+from .mcg import contact_mcg, inclusion_is_iso, smooth_mcg, unknot_classes
 from .slopes import Slope, _fraction, _Record, _set, cf_matrix_identity, farey_mul
-from .surgery import KNOTS, _knot, _rot_sums, build_chain, det_bareiss, linking_det, linking_matrix
+from .surgery import KNOTS, ORIENTED_KNOTS, _knot, _rot_sums, build_chain, det_bareiss, linking_det, linking_matrix
 from .tight import (
     ShuffleClass,
     count_tight_lens,
@@ -240,7 +240,7 @@ def _det_failures(batch):
 
 
 def _mcg_failures(batch):
-    for p, q, classes, peaks, _ in batch:
+    for p, q, classes, peaks, chains in batch:
         c, s = contact_mcg(p, q), smooth_mcg(p, q)
         if s.order % c.order != 0:
             yield f"L({p},{q}) order divisibility"
@@ -250,20 +250,18 @@ def _mcg_failures(batch):
             yield f"L({p},{q}) sigma without q^2=1"
         else:
             yield None
-            # The oriented unknots and peaks that `unknots` prints, off the decoration.
-            d = classes[0].decoration
-            if (n := len(d.knots)) >= 4:
-                continue
-            # Oriented unknots the table merges share their peaks in every
-            # structure: k2 is k1 where they merge, and a lone k1 has rot 0.
-            tb1, tb2 = d.peak_tb
-            yield None if tb1 == tb2 else f"L({p},{q}) merged unknots with different peak tb"
+        # The table against the oriented unknots that `unknots` prints, off the decoration.
+        yield None if classes[0].decoration.knots == tuple(unknot_classes(p, q)) else f"L({p},{q}) unknot classes"
+        # H_1 = Z/p holds +-k1 at +-1 and +-k2 at +-p' = q^-1, read off the chain; the
+        # names in one class share their peaks in every structure.
+        h1, by_class = (1, cf_matrix_identity(chains[0].framings)[1]), {}
+        for knot in ORIENTED_KNOTS:
+            i, sign = _knot(knot)
+            by_class.setdefault(sign * h1[i] % p, []).append(knot)
+        if len(by_class) < 4:
             for i, ts_peaks in enumerate(peaks):
-                rot1, rot2 = ts_peaks["k1"][0], ts_peaks["k2"][0]
-                if rot1 != rot2 or (n == 1 and rot1 != 0):
-                    yield f"L({p},{q}) class {i} merged unknots with different peak rot"
-                else:
-                    yield None
+                same = all(len({ts_peaks[knot] for knot in names}) == 1 for names in by_class.values())
+                yield None if same else f"L({p},{q}) class {i} merged unknots with different peaks"
 
 
 def _univ_failures(batch):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from .mcg import unknot_classes
 from .slopes import (
     Slope,
     _Record,
@@ -20,6 +19,7 @@ from .slopes import (
     q_is_minus_one,
     require_lens_pair,
 )
+from .surgery import ORIENTED_KNOTS
 
 
 def peak_tb(p: int, q: int) -> tuple[int, int]:
@@ -35,7 +35,7 @@ class Decoration(_Record):
     its shuffle blocks, the edge vector (dnum, dden) = b - a that every
     decorated edge a -> b of a block has in common, p times the peak tb of
     the two cores (k1, k2), as peak_tb gives them, and the oriented
-    rational unknots up to smooth isotopy, as mcg's table lists them."""
+    rational unknots up to smooth isotopy, one per class of H_1 (_walk)."""
 
     __slots__ = ("p", "q", "path", "blocks", "steps", "peak_tb", "knots")
 
@@ -74,8 +74,9 @@ def _walk(p: int, q: int, chain: list[int]) -> Decoration:
     block is a component framed r_k <= -3, of size -r_k - 2, in reverse
     chain order.  Vertices carry negative numerators and positive
     denominators, and the edge vectors are taken componentwise in that form.
+    It ends at x0 = p' = q^-1 (mod p): H_1 = Z/p holds +-k1 at +-1 and +-k2 at
+    +-p', and the names that merge into an earlier one are a suffix of the four.
     """
-    peak, knots = peak_tb(p, q), tuple(unknot_classes(p, q))
     n = len(chain) - 1
     path, blocks, steps = [Slope(0)], [], []
     num, den, x, y, x0, y0 = 0, 1, 1, 0, 0, -1
@@ -88,7 +89,8 @@ def _walk(p: int, q: int, chain: list[int]) -> Decoration:
             path.append(Slope(num, den))
         x, y, x0, y0 = -r * x - x0, -r * y - y0, x, y
     path.reverse()
-    return Decoration(p, q, tuple(path), tuple(blocks), tuple(steps), peak, knots)
+    knots = ORIENTED_KNOTS[: len({1 % p, -1 % p, x0 % p, -x0 % p})]
+    return Decoration(p, q, tuple(path), tuple(blocks), tuple(steps), peak_tb(p, q), knots)
 
 
 class ShuffleClass(_Record):

@@ -190,7 +190,7 @@ def test_det_family_checks_each_lens_space(monkeypatch):
 
 
 def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
-    # Where the table merges k1 with k2 their peak tb must agree; L(2,1)
+    # Where k1 and k2 share a class of H_1 their peak tb must agree; L(2,1)
     # is the first lens space with a single oriented unknot.
     # The decoration holds the peaks, so the surgery tb check fails too.
     peak_tb = tight.peak_tb
@@ -202,7 +202,7 @@ def test_mcg_family_catches_a_wrong_k2_peak_tb(monkeypatch):
     monkeypatch.setattr(tight, "peak_tb", wrong_k2)
     assert _failures(6) == {
         "rotation numbers: Farey vs surgery": "L(2,1) k2 tb",
-        "MCG divisibility and iso criterion": "L(2,1) merged unknots with different peak tb",
+        "MCG divisibility and iso criterion": "L(2,1) class 0 merged unknots with different peaks",
     }
 
 
@@ -233,21 +233,19 @@ def test_mcg_family_catches_sigma_without_q_squared_one(monkeypatch):
 
 
 def test_mcg_family_catches_a_wrong_merged_rot(monkeypatch):
-    # A merged k2 must have the rot of k1 in every class; shifting its rot
+    # A merged k2 must have the rot of the names in its class; shifting its rot
     # by 1, p in the p rot_Q that _peaks gives, breaks that first on L(2,1).
     shifted_k2 = _with_rots(lambda ts, knot, rot: rot + ts.p * (knot == "k2"))
     monkeypatch.setattr(checks, "_peaks", shifted_k2)
     failures = _failures(6)
-    assert failures["MCG divisibility and iso criterion"] == (
-        "L(2,1) class 0 merged unknots with different peak rot"
-    )
+    assert failures["MCG divisibility and iso criterion"] == "L(2,1) class 0 merged unknots with different peaks"
 
 
 def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
-    # Where the table merges k1 with k2, k2 is k1 itself, not its reverse.
-    # Negating k2's rot keeps |rot(k2)| = |rot(k1)| in every merged class,
-    # so a clause on |rot| passes it; the clause on rot fails it first on
-    # L(3,1), where k1 and k2 merge and the classes have rot +-1/3.
+    # k2 merges with k1 at q = 1 and with -k1 at q = p - 1, where every rot
+    # is 0.  Negating k2's rot keeps |rot(k2)| = |rot(k1)| in every merged
+    # class, so a clause on |rot| passes it; equal peaks fail it first on
+    # L(3,1), where k2 is k1 and the classes have rot +-1/3.
     negated_k2 = _with_rots(_negated_k2)
     tight = {(p, q): checks.enumerate_tight(p, q) for p, q in lens_pairs(8)}
     merged = [
@@ -262,7 +260,7 @@ def test_mcg_family_catches_a_reversed_merged_k2(monkeypatch):
     assert checks._check("mcg", checks._mcg_failures(_batch(tight))).passed
     monkeypatch.setattr(checks, "_peaks", negated_k2)
     result = checks._check("mcg", checks._mcg_failures(_batch(tight)))
-    assert result.counterexample == "L(3,1) class 0 merged unknots with different peak rot"
+    assert result.counterexample == "L(3,1) class 0 merged unknots with different peaks"
 
 
 def test_rot_family_compares_class_by_class(monkeypatch):
@@ -310,7 +308,7 @@ def test_geodesic_family_compares_the_bfs_path(monkeypatch):
 def test_sweep_counts_the_cases_of_each_family():
     counts = [c.cases for c in check_sweep(20).checks]
     assert len(list(lens_pairs(20))) == 127
-    assert counts == [127, 127, 254, 1345, 127, 372, 127]
+    assert counts == [127, 127, 254, 1345, 127, 462, 127]
     assert all(c.seconds >= 0 for c in check_sweep(5).checks)
 
 

@@ -106,22 +106,30 @@ MUTANTS = [
         id="q^2 = 1 row with a trivial contact group",
         marks=_miss(4),
     ),
+    # Patched where mcg and checks read the table; the decoration derives
+    # its list from H_1, a second derivation that the table must meet.
     pytest.param(
-        ("tight.unknot_classes",),
+        ("mcg.unknot_classes", "checks.unknot_classes"),
         lambda unknot_classes: lambda p, q: list(ORIENTED_KNOTS),
-        None,
-        None,
+        "MCG divisibility and iso criterion",
+        "L(2,1) unknot classes",
         id="unknot_classes lists all four knots",
-        marks=pytest.mark.xfail(strict=True, reason="no second derivation of the unknot classes is known"),
     ),
-    # L(5,2) is the first lens space with four oriented unknots; kept to k1
-    # and -k1, it merges k2 into k1, whose peaks differ there.
+    # L(5,2) is the first lens space with four oriented unknots.
     pytest.param(
-        ("tight.unknot_classes",),
+        ("mcg.unknot_classes", "checks.unknot_classes"),
         lambda unknot_classes: lambda p, q: unknot_classes(p, q)[:2],
         "MCG divisibility and iso criterion",
-        "L(5,2) merged unknots with different peak tb",
+        "L(5,2) unknot classes",
         id="unknot_classes keeps two of four knots",
+    ),
+    # Only what the decoration, and with it `unknots`, lists changes.
+    pytest.param(
+        ("tight.ORIENTED_KNOTS",),
+        lambda knots: knots[::-1],
+        "MCG divisibility and iso criterion",
+        "L(2,1) unknot classes",
+        id="decoration lists the oriented knots reversed",
     ),
     pytest.param(
         ("checks._peaks",),

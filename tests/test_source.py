@@ -225,15 +225,16 @@ def test_oracles_stay_independent():
 
 
 def test_check_reads_the_unknots_off_the_decoration():
-    """The MCG family takes the oriented unknots and the peak tb from the
-    decoration that unknots prints from, not through a second route by
-    mcg.unknot_classes or unknots.tb_q_peak, which checks does not bind."""
-    second = {"unknot_classes", "tb_q_peak"}
+    """The MCG family compares mcg's table of oriented unknots with the
+    decoration's list, which unknots prints and tight derives from H_1
+    without the table, and it reads the peaks off unknots._peaks through
+    the batch, never through unknots.tb_q_peak, which checks does not bind."""
     assert "unknot_classes" in vars(mcg) and "tb_q_peak" in vars(unknots)
+    assert "unknot_classes" not in vars(tight)
     reached = _names_reached(checks, "_mcg_failures")
-    assert {"decoration", "knots", "peak_tb"} <= reached
-    assert second & reached == set()
-    assert second & vars(checks).keys() == set()
+    assert {"decoration", "knots", "unknot_classes", "cf_matrix_identity"} <= reached
+    assert "tb_q_peak" not in reached
+    assert "tb_q_peak" not in vars(checks)
 
 
 def test_check_compares_integers():
@@ -331,8 +332,7 @@ _LAYERS = (("slopes",), ("farey", "bypass"), ("tight", "surgery"), ("unknots", "
 def test_modules_import_down_the_layers():
     """Each module imports (from .x import ..., from . import x) only modules
     of its own layer or an earlier one: slopes -> farey/bypass ->
-    tight/surgery -> unknots/mcg -> checks -> cli.  The one upward edge is
-    tight -> mcg, where decoration reads unknot_classes once per lens space."""
+    tight/surgery -> unknots/mcg -> checks -> cli, as the README says."""
     layer = {module: i for i, modules in enumerate(_LAYERS) for module in modules}
     root = Path(lensknots.__file__).parent
     assert set(layer) == {path.stem for path in root.glob("*.py")} - {"__init__"}
@@ -344,4 +344,11 @@ def test_modules_import_down_the_layers():
                 for name in [target] if target else [alias.name for alias in node.names]:
                     if layer[name] > layer[module]:
                         upward.add((module, name))
-    assert upward == {("tight", "mcg")}
+    assert upward == set()
+
+
+def test_readme_spells_the_layers():
+    """The README's layer chain is the one _LAYERS holds."""
+    chain = " -> ".join("/".join(f"`{module}`" for module in modules) for modules in _LAYERS)
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    assert f"The modules import down these layers: {chain}. No module imports upward;" in readme

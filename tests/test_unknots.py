@@ -7,9 +7,10 @@ from lensknots import checks, mcg
 from lensknots.bypass import tb_from_dividing
 from lensknots.checks import block_partition, lens_pairs, rot_q_edges
 from lensknots.mcg import unknot_classes
-from lensknots.slopes import dual_fraction
+from lensknots.slopes import Slope, cf_matrix_identity, dual_fraction, neg_cf
 from lensknots.surgery import (
     ORIENTED_KNOTS,
+    _knot,
     build_chain,
     rot_q_surgery,
     rot_spectrum,
@@ -22,6 +23,7 @@ from lensknots.tight import (
 )
 from lensknots.unknots import (
     MountainRange,
+    _peaks,
     legendrian_classification,
     mountain_range,
     rot_q_farey,
@@ -242,9 +244,9 @@ class TestClassification:
                     assert c.tb_q == tb_q_peak(p, q, c.knot), (p, q, c.knot)
                     assert c.rot_q == rot_q_farey(ts, c.knot), (p, q, ts, c.knot)
 
-    def test_one_table_read_per_lens_space(self, monkeypatch):
-        # The oriented unknots come from mcg's table once per lens space,
-        # through the shared decoration, not once per class.
+    def test_classification_reads_no_table(self, monkeypatch):
+        # The oriented unknots come from the shared decoration, which
+        # derives them from H_1 without mcg's table.
         calls = []
         case = mcg._case
 
@@ -258,7 +260,25 @@ class TestClassification:
             for ts in enumerate_tight(p, q):
                 legendrian_classification(p, q, ts)
                 transverse_classification(p, q, ts)
-            assert calls == [(p, q)], f"L({p},{q})"
+            assert calls == [], f"L({p},{q})"
+
+    def test_unknot_classes_are_the_classes_in_h1(self):
+        # H_1(L(p,q)) = Z/p holds k1 at 1 and k2 at q^-1, which the chain's
+        # continuant gives; reversing negates.  The decoration lists one
+        # name per class, as the table does, and names in one class share
+        # their peaks, k2 with -k1 at q = p - 1 included.
+        for p, q in lens_pairs(200):
+            assert cf_matrix_identity(neg_cf(Slope(-p, q)))[1] % p == pow(q, -1, p), (p, q)
+            assert decoration(p, q).knots == tuple(unknot_classes(p, q)), (p, q)
+        for p, q in lens_pairs(40):
+            h1, at = (1, pow(q, -1, p)), {}
+            for knot in ORIENTED_KNOTS:
+                i, sign = _knot(knot)
+                at[knot] = sign * h1[i] % p
+            for ts in enumerate_tight(p, q):
+                peaks = _peaks(ts)
+                for a, b in itertools.combinations(ORIENTED_KNOTS, 2):
+                    assert at[a] != at[b] or peaks[a] == peaks[b], (p, q, ts.sign_string, a, b)
 
     def test_transverse_values(self):
         ts = class_from_signs(5, 2, "-")
