@@ -22,7 +22,7 @@ from .tight import (
     is_universally_tight,
     standard_structures,
 )
-from .unknots import _peaks
+from .unknots import _peaks, sl_q
 
 
 class CheckResult(_Record):
@@ -160,8 +160,12 @@ def _rot_failures(batch):
             # the reversed core keeps the tb and negates the rot
             elif [ts_peaks[reverse] for ts_peaks in peaks] != [(-r, t) for r, t in farey]:
                 yield f"L({p},{q}) {reverse}"
+            elif tb * cp != (end - cp) * p:
+                yield f"L({p},{q}) {knot} tb"
             else:
-                yield None if tb * cp == (end - cp) * p else f"L({p},{q}) {knot} tb"
+                # p sl_Q from the Farey side against (cp d) sl_Q, tb_Q - rot_Q from the chain
+                sl = [sl_q(t, r) * cp * d for r, t in farey]
+                yield None if sl == [((end - cp) * d - s * cp) * p for s in sums] else f"L({p},{q}) {knot} sl"
 
 
 def block_partition(path: list[Slope]) -> list[int]:

@@ -131,14 +131,16 @@ def _depth(depth) -> int:
 def _columns(rot, tb, depth: int, step):
     """The columns of the mountain range with peak (rot, tb): the 2 depth + 1
     rots rot - depth .. rot + depth and the tb of each row, tb .. tb - depth,
-    in units of one stabilization, which is step: 1 on rationals, p on
-    integers over p."""
+    in units of one stabilization, which is step: 1 on rationals for
+    MountainRange.points, p on integers over p for cli.cmd_mountain."""
     return [rot + r * step for r in range(-depth, depth + 1)], [tb - k * step for k in range(depth + 1)]
 
 
 def _rows(depth: int, rots: list, tbs: list):
     """Yield (tbs[k], the entries of rots in row k) for k = 0..depth, where
-    rots and tbs are aligned with a mountain range's columns."""
+    rots and tbs are aligned with a mountain range's columns: the columns
+    themselves for MountainRange.points, their renderings for
+    cli.cmd_mountain."""
     for k in range(depth + 1):
         yield tbs[k], rots[depth - k : depth + k + 1 : 2]
 
@@ -156,21 +158,11 @@ class MountainRange(_Record):
         _set(self, "peak", peak)
         _set(self, "depth", _depth(depth))
 
-    def columns(self) -> tuple[list[Fraction], list[Fraction]]:
-        """The 2 depth + 1 rots, rot - depth .. rot + depth, and the tb of
-        each row, tb .. tb - depth."""
-        return _columns(*self.peak, self.depth, 1)
-
-    def rows(self, rots: list, tbs: list):
-        """Yield (tbs[k], the entries of rots in row k) for k = 0..depth,
-        where rots and tbs are the columns or lists aligned with them, such
-        as their renderings."""
-        return _rows(self.depth, rots, tbs)
-
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Every dot, row by row, built on access."""
-        return tuple((r, tb) for tb, row in self.rows(*self.columns()) for r in row)
+        rows = _rows(self.depth, *_columns(*self.peak, self.depth, 1))
+        return tuple((r, tb) for tb, row in rows for r in row)
 
 
 def mountain_range(

@@ -7,7 +7,7 @@ from lensknots import checks, surgery, tight
 from lensknots.checks import check_sweep, lens_pairs
 from lensknots.farey import bfs_oracle
 from lensknots.mcg import GroupDescription, unknot_classes
-from lensknots.slopes import farey_sum
+from lensknots.slopes import Slope, farey_sum
 from lensknots.surgery import KNOTS, ORIENTED_KNOTS, rot_q_surgery
 from lensknots.unknots import rot_q_farey
 
@@ -166,6 +166,24 @@ def test_block_family_catches_a_block_split_into_singletons(monkeypatch):
     # has one block of two edges.
     monkeypatch.setattr(checks, "block_partition", lambda path: [1] * max(len(path) - 3, 0))
     assert _failures(6) == {"rotation numbers: blocks vs edges": "L(4,1) shuffle blocks"}
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        # L(3,1) has the path -3, -2, -1, 0 and one decorated edge, -2 -> -1.
+        ({"path": (Slope(-3), Slope(2), Slope(-1), Slope(0))}, "decorated-path vertices must be negative"),
+        ({"blocks": (2,)}, "2 signs for 1 decorated edges"),
+    ],
+    ids=["nonnegative vertex", "sign count"],
+)
+def test_edge_oracle_refuses_a_malformed_decoration(fields, message):
+    # The Decoration constructor validates nothing, so a hand-built one
+    # reaches the oracle's own checks.
+    d = tight.decoration(3, 1)
+    changed = tight.Decoration(*(fields.get(name, getattr(d, name)) for name in tight.Decoration.__slots__))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        checks.rot_q_edges(tight.ShuffleClass(changed, (1,)))
 
 
 def test_det_family_runs_one_bareiss_per_lens_space(monkeypatch):

@@ -91,12 +91,11 @@ MUTANTS = [
         id="dual_fraction numerator + 1",
     ),
     pytest.param(
-        ("unknots.sl_q",),
+        ("unknots.sl_q", "checks.sl_q"),
         lambda sl_q: lambda tb_q, rot_q: tb_q + rot_q,
-        None,
-        None,
+        FAREY_VS_SURGERY,
+        "L(3,1) k1 sl",
         id="sl_q is tb + rot",
-        marks=_miss(3),
     ),
     pytest.param(
         ("mcg._TABLE",),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lensknots import checks, mcg
+from lensknots import checks, mcg, unknots
 from lensknots.bypass import tb_from_dividing
 from lensknots.checks import block_partition, lens_pairs, rot_q_edges
 from lensknots.mcg import unknot_classes
@@ -366,16 +366,16 @@ class TestMountainRange:
         assert MountainRange.__slots__ == ("knot", "peak", "depth")
         assert mr == MountainRange("-k1", mr.peak, 1000)
         rot, tb = mr.peak
-        rots, tbs = mr.columns()
+        rots, tbs = unknots._columns(*mr.peak, mr.depth, 1)
         assert rots == [rot + r for r in range(-1000, 1001)]
         assert tbs == [tb - k for k in range(1001)]
         with pytest.raises(ValueError):
             MountainRange("-k1", mr.peak, -1)
 
     def test_rows_walk_any_aligned_columns(self):
-        mr = mountain_range(3, 1, class_from_signs(3, 1, "+"), "k1", depth=2)
+        # cli.cmd_mountain walks the renderings of the columns, not the columns.
         names = [f"r{i}" for i in range(5)]
-        assert list(mr.rows(names, ["a", "b", "c"])) == [
+        assert list(unknots._rows(2, names, ["a", "b", "c"])) == [
             ("a", ["r2"]),
             ("b", ["r1", "r3"]),
             ("c", ["r0", "r2", "r4"]),
