@@ -44,6 +44,10 @@ class CheckResult(_Record):
 
 
 class SweepReport(_Record):
+    """The outcome of check_sweep(p_max): one CheckResult per family, in the
+    sweep's order, and the sweep's wall time in seconds.  The sweep passed
+    when every family did."""
+
     __slots__ = ("p_max", "checks", "runtime")
 
     def __init__(self, p_max: int, checks: tuple[CheckResult, ...], runtime: float):
@@ -57,6 +61,8 @@ class SweepReport(_Record):
 
 
 def lens_pairs(p_max: int):
+    """Every lens pair (p, q), coprime p > q > 0, with p <= p_max, by p and
+    then q."""
     for p in range(2, p_max + 1):
         for q in range(1, p):
             if math.gcd(p, q) == 1:

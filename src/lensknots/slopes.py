@@ -224,9 +224,9 @@ def cf_matrix_identity(coeffs: list[int]) -> tuple[int, int, int, int]:
 
 
 def require_lens_pair(p: int, q: int) -> None:
-    """Reject (p, q) unless it names a lens space L(p,q): coprime p > q > 0."""
-    if not (p > q > 0) or math.gcd(p, q) != 1:
-        raise ValueError(f"need coprime p > q > 0, got ({p}, {q})")
+    """Reject (p, q) unless it names a lens space L(p,q): coprime ints p > q > 0."""
+    if not (isinstance(p, int) and isinstance(q, int) and p > q > 0) or math.gcd(p, q) != 1:
+        raise ValueError(f"need coprime p > q > 0, got ({p!r}, {q!r})")
 
 
 def q_is_minus_one(p: int, q: int) -> bool:

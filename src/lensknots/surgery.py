@@ -193,6 +193,12 @@ def _cramer(rows: list[dict[int, int]], rhs) -> tuple[list[int], int]:
     return nums, d
 
 
+def _column(chain: SurgeryChain) -> tuple[list[int], int]:
+    """M^-1 . lk for the chain's meridian as (nums, d): integers over
+    d = det M, unreduced and signed.  The one solve of the rot_Q paths."""
+    return _cramer(_linking_rows(chain.framings), meridian_lk(chain))
+
+
 def rot_q_surgery(chain: SurgeryChain, rots) -> list[Fraction]:
     """Rational rotation numbers -rot . M^-1 . lk, exactly, one per vector in
     rots (each with |rot_i| <= -r_i - 2 and rot_i = r_i mod 2, checked before
@@ -213,7 +219,7 @@ def _rot_sums(chain: SurgeryChain, rots) -> tuple[list[int], int]:
             raise ValueError("rotation numbers must be integers")
         if any(v not in a for v, a in zip(rot, allowed)):
             raise ValueError("rotation numbers need |rot_i| <= -r_i - 2 and rot_i = r_i (mod 2)")
-    nums, d = _cramer(_linking_rows(chain.framings), meridian_lk(chain))
+    nums, d = _column(chain)
     return [-sum(v * num for v, num in zip(rot, nums)) for rot in rots], d
 
 
@@ -222,7 +228,7 @@ def _spectrum(chain: SurgeryChain) -> tuple[list[int], int]:
     rotation vectors v, in increasing order, as integers over d = det M =
     (-1)^n p: -sum v_i * nums_i, one term per component.  Dividing by a
     negative d reverses the order, so the sums are sorted against it."""
-    nums, d = _cramer(_linking_rows(chain.framings), meridian_lk(chain))
+    nums, d = _column(chain)
     terms = [[-v * num for v in _rots(r)] for r, num in zip(chain.framings, nums)]
     return sorted(map(sum, itertools.product(*terms)), reverse=d < 0), d
 

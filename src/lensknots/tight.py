@@ -109,6 +109,8 @@ class ShuffleClass(_Record):
         if len(plus_counts) != len(blocks):
             raise ValueError(f"{len(plus_counts)} plus counts for {len(blocks)} blocks")
         for size, plus in zip(blocks, plus_counts):
+            if not isinstance(plus, int):
+                raise ValueError(f"plus count {plus!r} must be an integer")
             if not 0 <= plus <= size:
                 raise ValueError(f"plus count {plus} outside 0..{size}")
         _set(self, "decoration", decoration)

@@ -15,7 +15,7 @@ import pytest
 
 from lensknots.checks import check_sweep
 from lensknots.slopes import Slope, farey_mul, neg_cf
-from lensknots.surgery import ORIENTED_KNOTS
+from lensknots.surgery import ORIENTED_KNOTS, SurgeryChain
 
 P_MAX = 20
 
@@ -188,6 +188,15 @@ MUTANTS = [
         FAREY_VS_SURGERY,
         "L(5,2) k1",
         id="neg_cf reversed for the chain",
+    ),
+    # _column is the one solve behind rot_q_surgery and the spectrum; k2's
+    # column from the first component differs first at L(5,2).
+    pytest.param(
+        ("surgery._column",),
+        lambda column: lambda chain: column(SurgeryChain(chain.framings, "first")),
+        FAREY_VS_SURGERY,
+        "L(5,2) k2",
+        id="_column solves k2 from the first component",
     ),
 ]
 

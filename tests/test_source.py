@@ -253,11 +253,13 @@ def test_check_compares_integers():
 
 
 def test_linking_matrix_has_one_row_builder():
-    """rot_q_surgery hands the chain's sparse rows straight to _cramer, with
-    no dense matrix to re-read; linking_matrix renders the same rows, and
-    _rows reads only the matrices given to det_bareiss and solve_exact."""
+    """rot_q_surgery reads its column from _column, which hands the chain's
+    sparse rows straight to _cramer, with no dense matrix to re-read;
+    linking_matrix renders the same rows, and _rows reads only the matrices
+    given to det_bareiss and solve_exact."""
+    assert {"_linking_rows", "_cramer"} <= _names_reached(surgery, "_column")
     reached = _names_reached(surgery, "rot_q_surgery")
-    assert {"_linking_rows", "_cramer"} <= reached
+    assert "_column" in reached
     assert {"_rows", "linking_matrix"} <= vars(surgery).keys()
     assert {"_rows", "linking_matrix"} & reached == set()
     assert "_linking_rows" in _names_reached(surgery, "linking_matrix")
@@ -266,12 +268,12 @@ def test_linking_matrix_has_one_row_builder():
 
 
 def test_rationals_are_built_only_at_the_return():
-    """rot_q_surgery reads M^-1 . lk as integers over det M from _cramer, not
+    """rot_q_surgery reads M^-1 . lk as integers over det M from _column, not
     as solve_exact's reduced fractions put back over their lcm, and
     eval_neg_cf runs the continuant recurrence on ints, with no Fraction."""
-    assert {"_cramer", "solve_exact"} <= vars(surgery).keys()
+    assert {"_column", "solve_exact"} <= vars(surgery).keys()
     reached = _names_reached(surgery, "rot_q_surgery")
-    assert "_cramer" in reached
+    assert "_column" in reached
     assert {"solve_exact", "lcm"} & reached == set()
     assert "_fraction" in vars(slopes)
     assert {"Fraction", "_fraction"} & _names_reached(slopes, "eval_neg_cf") == set()
@@ -314,16 +316,52 @@ def test_surgery_reads_its_spectrum_off_one_chain():
     """rot_spectrum and the CLI read the spectrum off a built chain through
     one private _spectrum, and cmd_surgery builds that chain itself instead
     of calling rot_spectrum, which would build it again.  _spectrum sums
-    one term per component off the sparse meridian solve: it builds no
-    rotation vector, re-checks none and never reads a dense matrix."""
+    one term per component off the meridian column that _column solves: it
+    builds no rotation vector, re-checks none and never reads a dense matrix."""
     assert "_spectrum" in _names_reached(surgery, "rot_spectrum")
     spectrum = _names_reached(surgery, "_spectrum")
-    assert {"_cramer", "_linking_rows", "_rots"} <= spectrum
+    assert {"_column", "_rots"} <= spectrum
     assert not {"rot_q_surgery", "_rows", "linking_matrix", "solve_exact"} & spectrum
     reached = _names_reached(cli, "cmd_surgery")
     assert {"_spectrum", "build_chain"} <= reached
     assert "rot_spectrum" in vars(surgery)
     assert "rot_spectrum" not in reached
+
+
+def _named_in(module):
+    """Each module-level function of the module, mapped to the names its
+    body reads (not transitively); other statements, imports included,
+    under the key None."""
+    named = {}
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        key = node.name if isinstance(node, ast.FunctionDef) else None
+        names = named.setdefault(key, set())
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.asname or sub.name)
+    return named
+
+
+def test_oracles_are_fenced():
+    """_column is the one rot_Q path into Cramer's rule: in surgery only it
+    and the oracle solve_exact name _cramer, and only _cramer and the
+    oracle det_bareiss name _eliminate.  The layers above surgery name
+    neither the solve nor its oracles, except the det_bareiss that checks
+    holds linking_det to.  Every name fenced here is bound in surgery, so a
+    rename fails the test instead of slipping past it."""
+    fenced = {"_column", "_cramer", "_eliminate", "solve_exact"}
+    assert fenced | {"det_bareiss"} <= vars(surgery).keys()
+    named = _named_in(surgery)
+    for name, namers in (("_cramer", {"_column", "solve_exact"}), ("_eliminate", {"_cramer", "det_bareiss"})):
+        assert {key for key, names in named.items() if name in names} <= namers, name
+    for module in (tight, unknots, mcg, checks, cli):
+        names = set().union(*_named_in(module).values()) | vars(module).keys()
+        assert fenced & names == set(), module.__name__
+    assert "det_bareiss" in vars(checks)
 
 
 _LAYERS = (("slopes",), ("farey", "bypass"), ("tight", "surgery"), ("unknots", "mcg"), ("checks",), ("cli",))

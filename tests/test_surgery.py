@@ -271,6 +271,9 @@ def test_solve_exact_solves_every_chain():
             x = solve_exact(m, lk)
             mx = [sum(a * xi for a, xi in zip(row, x)) for row in m]
             assert mx == list(lk), f"L({p},{q}) {knot}"
+            # The rot_Q paths' column: the same solution over det M, unreduced.
+            nums, d = surgery._column(chain)
+            assert d == linking_det(chain) and nums == [xi * d for xi in x], f"L({p},{q}) {knot}"
 
 
 def test_cramer_denominator_is_the_linking_determinant():
@@ -356,10 +359,10 @@ class TestRotation:
     def test_checks_every_vector_before_the_solve(self, monkeypatch):
         # The solve is cubic in the chain length, so a bad vector is reported
         # without it; rots may be an iterator, read once.
-        def no_solve(rows, rhs):
-            raise RuntimeError("_cramer ran before the vectors were checked")
+        def no_solve(chain):
+            raise RuntimeError("_column ran before the vectors were checked")
 
-        monkeypatch.setattr(surgery, "_cramer", no_solve)
+        monkeypatch.setattr(surgery, "_column", no_solve)
         chain = SurgeryChain((-3, -2))
         with pytest.raises(ValueError, match="wrong number of rotation numbers"):
             rot_q_surgery(chain, iter([(1, 0), (1,)]))
@@ -384,13 +387,13 @@ class TestRotation:
 
     def test_one_solve_per_spectrum(self, monkeypatch):
         calls = []
-        cramer = surgery._cramer
+        column = surgery._column
 
-        def counting_solve(rows, rhs):
-            calls.append(len(rhs))
-            return cramer(rows, rhs)
+        def counting_solve(chain):
+            calls.append(chain)
+            return column(chain)
 
-        monkeypatch.setattr(surgery, "_cramer", counting_solve)
+        monkeypatch.setattr(surgery, "_column", counting_solve)
         for p, q in lens_pairs(12):
             for knot in ("k1", "k2"):
                 calls.clear()

@@ -72,10 +72,10 @@ class TestPeakTb:
         with pytest.raises(ValueError):
             tb_q_peak(5, 2, "k3")
 
-    @pytest.mark.parametrize("p,q", [(1, 5), (4, 2), (5, 5), (5, 0), (-5, 2)])
+    @pytest.mark.parametrize("p,q", [(1, 5), (4, 2), (5, 5), (5, 0), (-5, 2), (7.0, 2), (7, 2.0), (Fraction(7), 2)])
     def test_needs_lens_pair(self, p, q):
         for knot in ("k1", "-k1", "k2", "-k2"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^need coprime p > q > 0, got "):
                 tb_q_peak(p, q, knot)
 
 
@@ -394,11 +394,14 @@ class TestMountainRange:
         lambda: MountainRange("k1", (Fraction(-1, 3), Fraction(-2, 3)), Fraction(2)),
         lambda: tb_from_dividing(2.0),
         lambda: tb_from_dividing(Fraction(4)),
+        lambda: ShuffleClass(decoration(9, 2), (1.5,)),
+        lambda: ShuffleClass(decoration(9, 2), (Fraction(1),)),
     ],
-    ids=["depth-float", "depth-fraction", "count-float", "count-fraction"],
+    ids=["depth-float", "depth-fraction", "count-float", "count-fraction", "plus-float", "plus-fraction"],
 )
 def test_integer_fields_refuse_other_numbers(call):
-    """A depth or an intersection count that is not an int raises ValueError
-    where it is given, not a TypeError or a wrong value further on."""
+    """A depth, an intersection count or a plus count that is not an int
+    raises ValueError where it is given, not a TypeError or a wrong value
+    further on."""
     with pytest.raises(ValueError, match="must be an integer"):
         call()
