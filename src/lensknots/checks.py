@@ -52,7 +52,7 @@ class SweepReport(_Record):
 
     def __init__(self, p_max: int, checks: tuple[CheckResult, ...], runtime: float):
         _set(self, "p_max", p_max)
-        _set(self, "checks", checks)
+        _set(self, "checks", tuple(checks))
         _set(self, "runtime", runtime)
 
     @property
@@ -101,6 +101,8 @@ def check_sweep(p_max: int) -> SweepReport:
     The sweep goes one p at a time: the lens spaces of that p, their tight
     structures, Farey rotation numbers and chains make one batch, which
     every family that has not failed reads before the batch is dropped."""
+    if not isinstance(p_max, int):
+        raise ValueError("p_max must be an integer")
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     t0 = time.perf_counter()
@@ -112,7 +114,7 @@ def check_sweep(p_max: int) -> SweepReport:
             _check(r.name, family(batch), r.cases, r.seconds) if r.passed or not r.cases else r
             for r, (_, family) in zip(results, _FAMILIES)
         ]
-    return SweepReport(p_max, tuple(results), time.perf_counter() - t0)
+    return SweepReport(p_max, results, time.perf_counter() - t0)
 
 
 # Each family takes a batch, a list of _lens_space entries in lens_pairs

@@ -35,7 +35,7 @@ class GroupDescription(_Record):
         if len(generators) != _TAGS[tag][1]:
             raise ValueError(f"{tag} needs {_TAGS[tag][1]} generators")
         _set(self, "tag", tag)
-        _set(self, "generators", generators)
+        _set(self, "generators", tuple(generators))
         _set(self, "cont0_trivial", cont0_trivial)
 
     @property

@@ -50,11 +50,12 @@ class _Record:
     """Shared dunders of the package's immutable value records.
 
     A record lists its fields in __slots__ and sets them in its own
-    __init__ through object.__setattr__.  Records compare equal only to
-    records of the same class with equal fields, hash like the tuple of
-    their fields and refuse assignment and deletion.  Hand-written in place
-    of frozen dataclasses, whose import pulls in inspect and whose
-    decoration execs generated code, both on every CLI start-up.
+    __init__ through object.__setattr__, a sequence field as the tuple of
+    its argument.  Records compare equal only to records of the same class
+    with equal fields, hash like the tuple of their fields and refuse
+    assignment and deletion.  Hand-written in place of frozen dataclasses,
+    whose import pulls in inspect and whose decoration execs generated
+    code, both on every CLI start-up.
     """
 
     __slots__ = ()

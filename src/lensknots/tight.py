@@ -51,11 +51,11 @@ class Decoration(_Record):
     ):
         _set(self, "p", p)
         _set(self, "q", q)
-        _set(self, "path", path)
-        _set(self, "blocks", blocks)
-        _set(self, "steps", steps)
-        _set(self, "peak_tb", peak_tb)
-        _set(self, "knots", knots)
+        _set(self, "path", tuple(path))
+        _set(self, "blocks", tuple(blocks))
+        _set(self, "steps", tuple(steps))
+        _set(self, "peak_tb", tuple(peak_tb))
+        _set(self, "knots", tuple(knots))
 
 
 def decoration(p: int, q: int) -> Decoration:
@@ -90,7 +90,7 @@ def _walk(p: int, q: int, chain: list[int]) -> Decoration:
         x, y, x0, y0 = -r * x - x0, -r * y - y0, x, y
     path.reverse()
     knots = ORIENTED_KNOTS[: len({1 % p, -1 % p, x0 % p, -x0 % p})]
-    return Decoration(p, q, tuple(path), tuple(blocks), tuple(steps), peak_tb(p, q), knots)
+    return Decoration(p, q, path, blocks, steps, peak_tb(p, q), knots)
 
 
 class ShuffleClass(_Record):
@@ -114,7 +114,7 @@ class ShuffleClass(_Record):
             if not 0 <= plus <= size:
                 raise ValueError(f"plus count {plus} outside 0..{size}")
         _set(self, "decoration", decoration)
-        _set(self, "plus_counts", plus_counts)
+        _set(self, "plus_counts", tuple(plus_counts))
 
     @property
     def p(self) -> int:
@@ -164,7 +164,7 @@ def class_from_signs(p: int, q: int, signs: str) -> ShuffleClass:
     for size in d.blocks:
         plus_counts.append(signs[pos : pos + size].count("+"))
         pos += size
-    return ShuffleClass(d, tuple(plus_counts))
+    return ShuffleClass(d, plus_counts)
 
 
 def count_tight_lens(p: int, q: int) -> int:

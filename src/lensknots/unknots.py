@@ -155,7 +155,7 @@ class MountainRange(_Record):
 
     def __init__(self, knot: str, peak: tuple[Fraction, Fraction], depth: int):
         _set(self, "knot", knot)
-        _set(self, "peak", peak)
+        _set(self, "peak", tuple(peak))
         _set(self, "depth", _depth(depth))
 
     @property

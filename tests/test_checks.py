@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,12 @@ def test_public_rationals_are_what_check_compares():
 def test_sweep_rejects_tiny_bound():
     with pytest.raises(ValueError):
         check_sweep(1)
+
+
+@pytest.mark.parametrize("p_max", [6.0, "6", Fraction(6), None])
+def test_sweep_rejects_a_bound_that_is_not_an_int(p_max):
+    with pytest.raises(ValueError, match="^p_max must be an integer$"):
+        check_sweep(p_max)
 
 
 def _batch(tight):

@@ -22,6 +22,7 @@ from lensknots import (
     contact_mcg,
     contact_mcg_rel_torus,
     decoration,
+    enumerate_tight,
     inclusion_kernel,
     legendrian_classification,
     mountain_range,
@@ -158,3 +159,50 @@ def test_mcg_rows_compare_equal_across_lookups():
     assert contact_mcg(7, 1) == GroupDescription("trivial", cont0_trivial=True)
     assert contact_mcg(7, 1) != GroupDescription("trivial")
     assert contact_mcg(8, 3) == GroupDescription("Z2", ("sigma",), True)
+
+
+# The records with sequence fields; each stores such a field as the tuple of
+# its argument, so the sequence it was given does not change the value.
+SEQUENCE_RECORDS = pytest.mark.parametrize(
+    "cls",
+    [ShuffleClass, GroupDescription, MountainRange, SweepReport, Decoration, SurgeryChain],
+    ids=lambda c: c.__name__,
+)
+
+
+def _rebuilt(record, seq):
+    """The record built again from its fields, each tuple field given as
+    seq(list(field))."""
+    return type(record)(*(seq(list(v)) if isinstance(v, tuple) else v for v in _fields(record)))
+
+
+@SEQUENCE_RECORDS
+def test_a_record_built_from_lists_is_the_tuple_built_value(cls):
+    a = RECORDS[cls][0]()
+    b = _rebuilt(a, list)
+    assert any(isinstance(v, tuple) for v in _fields(a))
+    assert b == a and hash(b) == hash(a)
+    assert _fields(b) == _fields(a)
+    assert all(type(v) is tuple for v, u in zip(_fields(b), _fields(a)) if isinstance(u, tuple))
+    assert repr(b) == repr(a)
+
+
+def test_a_mountain_range_built_from_an_iterator_is_the_tuple_built_value():
+    a = RECORDS[MountainRange][0]()
+    b = MountainRange(a.knot, iter(list(a.peak)), a.depth)
+    assert b == a and hash(b) == hash(a)
+    assert b.points == a.points == b.points
+
+
+def test_a_length_check_still_refuses_an_iterator():
+    with pytest.raises(TypeError):
+        ShuffleClass(decoration(12, 5), iter([1, 0]))
+    with pytest.raises(TypeError):
+        GroupDescription("Z2", iter(["sigma"]))
+
+
+def test_a_list_built_class_is_one_of_the_enumerated_classes():
+    classes = enumerate_tight(12, 5)
+    ts = ShuffleClass(decoration(12, 5), [1, 0])
+    assert ts in classes and classes.index(ts) == 2
+    assert {ts: "+-"}[classes[2]] == "+-"

@@ -276,6 +276,33 @@ def test_solve_exact_solves_every_chain():
             assert d == linking_det(chain) and nums == [xi * d for xi in x], f"L({p},{q}) {knot}"
 
 
+def continuant_column(framings):
+    """(y, pivot) with M y = pivot e_0 for the chain's tridiagonal linking
+    matrix M, from the far end: y_{n-1} = 1, y_{n-2} = -r_{n-1}, then
+    y_{i-1} = -r_i y_i - y_{i+1}, and the pivot is r_0 y_0 + y_1."""
+    n = len(framings)
+    y = [0] * (n + 1)  # y[n] = 0 pads the chain's far end
+    y[n - 1] = 1
+    for i in range(n - 1, 0, -1):
+        y[i - 1] = -framings[i] * y[i] - y[i + 1]
+    return y[:n], framings[0] * y[0] + y[1]
+
+
+def test_column_matches_the_continuant_recurrence():
+    # The meridian column M^-1 . lk is y / pivot; k2's meridian hangs on the
+    # last component, so its column is the reversed chain's, reversed.
+    for p, q in lens_pairs(60):
+        for knot in KNOTS:
+            chain = build_chain(p, q, knot)
+            framings = chain.framings if knot == "k1" else chain.framings[::-1]
+            y, pivot = continuant_column(framings)
+            if knot == "k2":
+                y.reverse()
+            nums, d = surgery._column(chain)
+            assert [num * pivot for num in nums] == [v * d for v in y], f"L({p},{q}) {knot}"
+            assert abs(pivot) == abs(d) == p, f"L({p},{q}) {knot}"
+
+
 def test_cramer_denominator_is_the_linking_determinant():
     # rot_Q is summed over d unreduced, so d keeps det M's size and sign.
     for p, q in lens_pairs(60):
